@@ -20,13 +20,14 @@ the repo carries a measured trajectory instead of asserted speedups:
   not touch repo code.  ``--check`` normalises the committed kernel
   number by the calibration ratio before comparing, so a slower CI
   machine does not read as a regression.
-* **trace_pipeline** (PR 5) — the compiled trace store versus the PR 4
-  dispatch path.  Per workload: build (TraceBuilder) vs encode
-  (``write_trace``) vs decode (``read_trace``) vs warm ``ensure`` time.
-  Per sweep: wall time of the same multi-cell grid dispatched with
-  ``jobs=2`` the PR 4 way (parent builds, pickled tuples ship) and the
-  store way (cold compile, then warm mmap), with the two results
-  asserted field-for-field identical before any number is written.
+* **trace_pipeline** (PR 5) — the compiled trace store versus
+  store-less trace supply.  Per workload: build (TraceBuilder) vs
+  encode (``write_trace``) vs decode (``read_trace``) vs warm
+  ``ensure`` time.  Per sweep: wall time of the same multi-cell grid
+  run with ``jobs=2`` without a store (parent builds, shards carry
+  truncated traces by value) and with one (cold compile, then warm
+  mmap), with the two results asserted field-for-field identical
+  before any number is written.
 * **native_vs_reference** (PR 7, schema 3; schema 4 from PR 8) — the
   compiled batch kernel (``repro.sim.native``) against the interpreted
   reference loop, per prefetcher family, over mmap-backed ``.rpt``
@@ -39,49 +40,42 @@ the repo carries a measured trajectory instead of asserted speedups:
 
 * **batch_kernel** (PR 10, schema 6) — the in-kernel batch driver
   (one GIL-released C call per workload-pure shard, cells fanned over
-  an OpenMP team) against the PR 9 per-cell warm path, on the same
-  reference grid ``sweep_throughput`` uses.  A serial inline oracle,
-  then three scheduler legs — the warm scheduler with the batch driver
-  off, and the batch driver at 1 and at 4 OpenMP threads — measured
-  interleaved, best-of-``reps``, so this container's load-dependent
-  throttling cannot systematically penalise later legs.  Every
-  scheduler DB (all legs, all reps) must be canonically identical and
-  the batch cells must equal the serial oracle field for field before
-  any number is written — thread count may only change wall time,
-  never a result.
+  an OpenMP team), on the same reference grid ``sweep_throughput``
+  uses.  A serial inline oracle, then two scheduler legs — the batch
+  driver at 1 and at 4 OpenMP threads — measured interleaved,
+  best-of-``reps``, so this container's load-dependent throttling
+  cannot systematically penalise later legs.  Every scheduler DB (both
+  legs, all reps) must be canonically identical and the batch cells
+  must equal the serial oracle field for field before any number is
+  written — thread count may only change wall time, never a result.
 
 * **sweep_throughput** (PR 9, schema 5) — the warm-worker scheduler
-  (``repro.sim.sched``) against the PR 5 store-fed dispatch on the same
-  seed-axis grid: ``workloads × context-seed variants``, ≥10,000 cells
-  in the full report.  The warm path runs the whole grid through one
-  :class:`SweepScheduler` over the persistent pool; the baseline
-  dispatches the same cells the PR 5 way — one pool-per-call
-  ``parallel_compare(warm=False)`` per config slice — measured over a
-  recorded subset (its per-cell cost is flat in the number of slices,
-  and the full grid at baseline speed would take hours by design).
-  Every warm cell is asserted field-for-field identical to a serial
-  inline run before any number is written.
+  (``repro.sim.sched``) on a seed-axis grid: ``workloads ×
+  context-seed variants``, ≥10,000 cells in the full report, run
+  through one :class:`SweepScheduler` over the persistent pool.  Every
+  cell is asserted field-for-field identical to a serial inline run
+  before any number is written.
+
+Schema 7 (PR 12) drops the legs that measured the removed dispatch
+paths: ``sweep_throughput``'s pool-per-call ``legacy_*`` leg and
+``batch_kernel``'s per-cell ``percell_*`` leg, with every ratio that
+divided by them.  Committed reports of older schemas stay as history.
 
 ``--check FILE`` re-measures the context kernel and fails (exit 1) if it
 regresses more than ``--tolerance`` (default 30%) against the committed,
-calibration-normalised value.  A committed ``sweep_throughput`` section
-is also gated: the quick grid must keep the warm scheduler ≥3× the
-legacy dispatch here and now, and the committed full-grid ratio must
-meet the ≥5× acceptance floor.  When the committed report carries a
+calibration-normalised value.  When the committed report carries a
 ``native_vs_reference`` section, the check also re-measures the native
 kernel (parity-gated) and fails if any native family's speedup —
 ``context`` included — falls below
 ``max(5x, committed * (1 - 2*tolerance))``: doubled because the quick
 grid's smaller limit systematically understates the ratio, floored at
 the 5x the ISSUE 8 acceptance criterion claims for the context family.
-A committed ``batch_kernel`` section is gated the same way: the
-committed full-grid ratios must meet the PR 10 acceptance floors
-(≥5× at 4 threads, ≥1.5× at 1 thread vs the per-cell warm path), the
-quick grid must keep the batch driver ≥1.3× per-cell here and now,
-and the committed cells/s rates for both throughput sections must
-clear a conservative calibration-normalised sanity floor (so a
-wrong-by-an-order-of-magnitude committed rate fails even on a machine
-of a different speed).
+Committed ``sweep_throughput`` and ``batch_kernel`` sections are gated
+on their cells/s rates: each must clear a conservative
+calibration-normalised sanity floor against a quick-grid re-measure
+(so a wrong-by-an-order-of-magnitude committed rate fails even on a
+machine of a different speed), and ``batch_kernel`` must have been
+measured on the OpenMP build.
 """
 
 from __future__ import annotations
@@ -105,8 +99,9 @@ from repro.workloads.suites import get_workload  # noqa: E402
 #: measured native family inside it (``native_handled`` true everywhere);
 #: schema 5 (PR 9) adds ``sweep_throughput`` (warm-worker scheduler vs
 #: the PR 5 store-fed dispatch); schema 6 (PR 10) adds ``batch_kernel``
-#: (the in-kernel multi-cell batch driver vs the per-cell warm path)
-SCHEMA = 6
+#: (the in-kernel multi-cell batch driver vs the per-cell warm path);
+#: schema 7 (PR 12) drops the legs of the removed dispatch paths
+SCHEMA = 7
 
 #: the kernel measurement grid: one streaming, one pointer-chasing and
 #: one graph workload, truncated so a full report stays minutes-scale
@@ -300,8 +295,8 @@ def measure_trace_pipeline(quick: bool) -> dict:
             )
             return time.perf_counter() - t0, result
 
-        # the PR 4 dispatch path: parent builds every workload, cells
-        # ship pickled truncated tuples (store explicitly off)
+        # no store: the parent builds every workload and shards carry
+        # the truncated traces by value
         legacy_s = float("inf")
         for _ in range(repeats):
             elapsed, legacy_result = timed_compare(False)
@@ -441,25 +436,17 @@ SWEEP_THROUGHPUT_WORKLOADS = ("mcf", "graph500-csr", "list", "array")
 SWEEP_THROUGHPUT_WORKLOADS_QUICK = ("mcf", "list")
 SWEEP_THROUGHPUT_SEEDS = 2500
 SWEEP_THROUGHPUT_SEEDS_QUICK = 50
-#: config slices dispatched the PR 5 way to measure the baseline rate —
-#: per-cell baseline cost is flat in the slice count (each slice pays
-#: one executor spawn + per-cell job pickling), so a subset measures it
-SWEEP_THROUGHPUT_BASELINE_SEEDS = 12
-SWEEP_THROUGHPUT_BASELINE_SEEDS_QUICK = 3
 SWEEP_THROUGHPUT_LIMIT = 200
 SWEEP_THROUGHPUT_JOBS = 2
 
 
 def measure_sweep_throughput(quick: bool) -> dict:
-    """Warm-worker scheduler vs PR 5 store-fed dispatch, parity-gated.
+    """Warm-worker scheduler cells/s, parity-gated.
 
-    Three runs over one grid: a serial inline loop (the parity oracle),
-    the full grid through :class:`SweepScheduler` on the persistent
-    pool, and a recorded subset of the same cells through the PR 5
-    pool-per-call dispatch (``parallel_compare(warm=False)`` per config
-    slice, exactly how the pre-PR-9 storage sweep ran).  No number is
-    written unless every warm cell equals its serial twin field for
-    field and every measured baseline cell does too.
+    Two runs over one grid: a serial inline loop (the parity oracle)
+    and the full grid through :class:`SweepScheduler` on the persistent
+    pool.  No number is written unless every warm cell equals its
+    serial twin field for field.
     """
     import dataclasses
     import shutil
@@ -468,7 +455,6 @@ def measure_sweep_throughput(quick: bool) -> dict:
     from repro.core.config import ContextPrefetcherConfig
     from repro.core.prefetcher import ContextPrefetcher
     from repro.sim.codec import encode_result
-    from repro.sim.parallel import parallel_compare
     from repro.sim.sched.db import ResultDB
     from repro.sim.sched.plan import GridPlan
     from repro.sim.sched.scheduler import SweepScheduler
@@ -478,11 +464,6 @@ def measure_sweep_throughput(quick: bool) -> dict:
         SWEEP_THROUGHPUT_WORKLOADS_QUICK if quick else SWEEP_THROUGHPUT_WORKLOADS
     )
     n_seeds = SWEEP_THROUGHPUT_SEEDS_QUICK if quick else SWEEP_THROUGHPUT_SEEDS
-    baseline_seeds = (
-        SWEEP_THROUGHPUT_BASELINE_SEEDS_QUICK
-        if quick
-        else SWEEP_THROUGHPUT_BASELINE_SEEDS
-    )
     limit = SWEEP_THROUGHPUT_LIMIT
     jobs = SWEEP_THROUGHPUT_JOBS
 
@@ -537,44 +518,16 @@ def measure_sweep_throughput(quick: bool) -> dict:
                     "refusing to write a benchmark report"
                 )
 
-        # the PR 5 dispatch baseline over a recorded slice of the grid
-        t0 = time.perf_counter()
-        for seed in range(baseline_seeds):
-            comparison = parallel_compare(
-                workloads,
-                ("context",),
-                context_config=configs[seed],
-                limit=limit,
-                jobs=jobs,
-                store=store,
-                native=True,
-                warm=False,
-            )
-            for wl_name in workloads:
-                if comparison.get(wl_name, "context") != serial[(wl_name, seed)]:
-                    raise SystemExit(
-                        "PARITY FAILURE (legacy dispatch vs serial): "
-                        f"{wl_name}/seed={seed} diverged; refusing to "
-                        "write a benchmark report"
-                    )
-        legacy_s = time.perf_counter() - t0
-        baseline_cells = baseline_seeds * len(workloads)
-
         warm_rate = plan.n_cells / warm_s
-        legacy_rate = baseline_cells / legacy_s
         return {
             "workloads": list(workloads),
             "seeds": n_seeds,
             "limit": limit,
             "jobs": jobs,
             "grid_cells": plan.n_cells,
-            "baseline_cells_measured": baseline_cells,
             "serial_seconds": round(serial_s, 3),
             "warm_seconds": round(warm_s, 3),
-            "legacy_seconds": round(legacy_s, 3),
             "warm_cells_per_sec": round(warm_rate, 1),
-            "legacy_cells_per_sec": round(legacy_rate, 1),
-            "speedup_warm_vs_legacy": round(warm_rate / legacy_rate, 2),
             "parity": "bit-identical",
         }
     finally:
@@ -583,16 +536,16 @@ def measure_sweep_throughput(quick: bool) -> dict:
 
 #: the in-kernel batch grid: the same reference grid sweep_throughput
 #: uses (workloads × context-seed variants, limit 200), re-dispatched
-#: through the per-cell and in-kernel batch paths.  The quick grid
-#: stays in the hundreds of cells — on a ~100-cell grid the one-off
-#: pool spawn dominates and the ratio reads as noise.
+#: at two OpenMP team sizes.  The quick grid stays in the hundreds of
+#: cells — on a ~100-cell grid the one-off pool spawn dominates and the
+#: rate reads as noise.
 BATCH_KERNEL_SEEDS = SWEEP_THROUGHPUT_SEEDS
 BATCH_KERNEL_SEEDS_QUICK = 400
 BATCH_KERNEL_WORKLOADS_QUICK = ("mcf", "list")
 BATCH_KERNEL_THREADS = 4
 
 #: scheduler legs are measured best-of-N with the legs *interleaved*
-#: (percell, batch1, batch4, percell, ...) rather than one-shot in
+#: (batch1, batch4, batch1, ...) rather than one-shot in
 #: sequence: under sustained load this container throttles, so a
 #: sequential measurement systematically penalises whichever leg runs
 #: later.  Interleaving spreads the drift across legs and best-of-N
@@ -602,14 +555,13 @@ BATCH_KERNEL_REPS = 2
 
 
 def measure_batch_kernel(quick: bool) -> dict:
-    """In-kernel batch driver vs the per-cell warm path, parity-gated.
+    """In-kernel batch driver cells/s at 1 and N threads, parity-gated.
 
-    One serial inline oracle over a context-seed grid, then three
-    scheduler legs — the warm scheduler with the batch driver off (the
-    PR 9 per-cell path), and the batch driver at 1 and at
+    One serial inline oracle over a context-seed grid, then two
+    scheduler legs — the batch driver at 1 and at
     :data:`BATCH_KERNEL_THREADS` OpenMP threads — each run
     :data:`BATCH_KERNEL_REPS` times, interleaved, best time kept.
-    Every scheduler DB (all legs, all reps) must be canonically
+    Every scheduler DB (both legs, all reps) must be canonically
     identical and the batch cells must equal the serial oracle field
     for field before any number is written — thread count may only
     change wall time, never a result.
@@ -670,14 +622,13 @@ def measure_batch_kernel(quick: bool) -> dict:
                 )
         serial_s = time.perf_counter() - t0
 
-        def run_grid(tag: str, *, kernel_batch: bool, threads: int = 0):
+        def run_grid(tag: str, *, threads: int):
             db = ResultDB(tmp / f"{tag}.db")
             scheduler = SweepScheduler(
                 db=db,
                 store=store,
                 jobs=jobs,
                 native=True,
-                kernel_batch=kernel_batch,
                 kernel_threads=threads,
             )
             t0 = time.perf_counter()
@@ -686,19 +637,12 @@ def measure_batch_kernel(quick: bool) -> dict:
             assert stats.executed == plan.n_cells
             return db, elapsed
 
-        legs = {
-            "percell": {"kernel_batch": False},
-            "batch1": {"kernel_batch": True, "threads": 1},
-            "batchn": {
-                "kernel_batch": True,
-                "threads": BATCH_KERNEL_THREADS,
-            },
-        }
+        legs = {"batch1": 1, "batchn": BATCH_KERNEL_THREADS}
         times: dict[str, list[float]] = {name: [] for name in legs}
         dbs: dict[tuple[str, int], ResultDB] = {}
         for rep in range(BATCH_KERNEL_REPS):
-            for name, kwargs in legs.items():
-                db, elapsed = run_grid(f"{name}-r{rep}", **kwargs)
+            for name, threads in legs.items():
+                db, elapsed = run_grid(f"{name}-r{rep}", threads=threads)
                 times[name].append(elapsed)
                 dbs[(name, rep)] = db
 
@@ -720,10 +664,8 @@ def measure_batch_kernel(quick: bool) -> dict:
                 "report"
             )
 
-        percell_s = min(times["percell"])
         batch1_s = min(times["batch1"])
         batchn_s = min(times["batchn"])
-        percell_rate = plan.n_cells / percell_s
         batch1_rate = plan.n_cells / batch1_s
         batchn_rate = plan.n_cells / batchn_s
         return {
@@ -737,14 +679,10 @@ def measure_batch_kernel(quick: bool) -> dict:
             "reps": BATCH_KERNEL_REPS,
             "grid_cells": plan.n_cells,
             "serial_seconds": round(serial_s, 3),
-            "percell_seconds": round(percell_s, 3),
             "batch1_seconds": round(batch1_s, 3),
             "batch4_seconds": round(batchn_s, 3),
-            "percell_cells_per_sec": round(percell_rate, 1),
             "batch1_cells_per_sec": round(batch1_rate, 1),
             "batch4_cells_per_sec": round(batchn_rate, 1),
-            "speedup_batch1_vs_percell": round(batch1_rate / percell_rate, 2),
-            "speedup_batch4_vs_percell": round(batchn_rate / percell_rate, 2),
             "parity": "bit-identical",
         }
     finally:
@@ -764,7 +702,7 @@ def build_report(quick: bool) -> dict:
     }
     return {
         "schema": SCHEMA,
-        "pr": 10,
+        "pr": 12,
         "quick": quick,
         "python": platform.python_version(),
         "calibration_score": round(calibration, 1),
@@ -866,40 +804,18 @@ def check_report(path: Path, tolerance: float) -> int:
         )
         return ok
 
-    # sweep-throughput gate: the warm scheduler must beat the PR 5
-    # dispatch ≥3x on the quick grid here and now (the quick grid's
-    # smaller fan-out understates the full-grid ratio by far more than
-    # any regression the gate should catch), and the committed full-grid
-    # number must meet the ≥5x acceptance floor
+    # throughput gates: each section's committed cells/s against a
+    # quick-grid re-measure
     sweep = committed.get("sweep_throughput")
     if sweep:
-        pinned_ratio = sweep["speedup_warm_vs_legacy"]
         remeasured = measure_sweep_throughput(quick=True)
-        got_ratio = remeasured["speedup_warm_vs_legacy"]
-        quick_ok = got_ratio >= 3.0
-        full_ok = pinned_ratio >= 5.0
-        print(
-            f"sweep check [{'ok' if quick_ok else 'REGRESSION'}]: warm "
-            f"scheduler {got_ratio:.1f}x vs legacy dispatch on the quick "
-            f"grid ({remeasured['grid_cells']} cells, floor 3.0x)"
-        )
-        print(
-            f"sweep check [{'ok' if full_ok else 'FAIL'}]: committed "
-            f"full-grid ratio {pinned_ratio:.1f}x on "
-            f"{sweep['grid_cells']} cells (acceptance floor 5.0x)"
-        )
-        rate_ok = rate_sane(
+        if not rate_sane(
             "sweep check",
             sweep["warm_cells_per_sec"],
             remeasured["warm_cells_per_sec"],
-        )
-        if not (quick_ok and full_ok and rate_ok):
+        ):
             exit_code = 1
 
-    # batch-kernel gate: the committed full-grid ratios must meet the
-    # PR 10 acceptance floors, and a quick grid must show the batch
-    # driver beating the per-cell path here and now (loose 1.3x floor —
-    # the smaller grid amortises the pool spawn over far fewer cells)
     batch = committed.get("batch_kernel")
     if batch and batch.get("available"):
         from repro.sim import native as native_pkg
@@ -918,33 +834,11 @@ def check_report(path: Path, tolerance: float) -> int:
             )
             return 1
         remeasured = measure_batch_kernel(quick=True)
-        got_ratio = remeasured["speedup_batch4_vs_percell"]
-        quick_ok = got_ratio >= 1.3
-        full1_ok = batch["speedup_batch1_vs_percell"] >= 1.5
-        full4_ok = batch["speedup_batch4_vs_percell"] >= 5.0
-        print(
-            f"batch check [{'ok' if quick_ok else 'REGRESSION'}]: in-kernel "
-            f"batch {got_ratio:.2f}x vs per-cell on the quick grid "
-            f"({remeasured['grid_cells']} cells, floor 1.30x)"
-        )
-        print(
-            f"batch check [{'ok' if full1_ok else 'FAIL'}]: committed "
-            f"1-thread full-grid ratio "
-            f"{batch['speedup_batch1_vs_percell']:.2f}x "
-            "(acceptance floor 1.50x)"
-        )
-        print(
-            f"batch check [{'ok' if full4_ok else 'FAIL'}]: committed "
-            f"{batch['kernel_threads']}-thread full-grid ratio "
-            f"{batch['speedup_batch4_vs_percell']:.2f}x "
-            "(acceptance floor 5.00x)"
-        )
-        rate_ok = rate_sane(
+        if not rate_sane(
             "batch check",
             batch["batch4_cells_per_sec"],
             remeasured["batch4_cells_per_sec"],
-        )
-        if not (quick_ok and full1_ok and full4_ok and rate_ok):
+        ):
             exit_code = 1
     return exit_code
 
@@ -953,7 +847,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
     parser.add_argument(
-        "--out", type=Path, default=REPO / "BENCH_10.json", help="output path"
+        "--out", type=Path, default=REPO / "BENCH_12.json", help="output path"
     )
     parser.add_argument(
         "--check",
@@ -997,7 +891,7 @@ def main(argv=None) -> int:
     dispatch = report["trace_pipeline"]["dispatch"]
     print(
         f"trace pipeline: warm-store dispatch "
-        f"{dispatch['store_warm_seconds']}s vs legacy "
+        f"{dispatch['store_warm_seconds']}s vs no store "
         f"{dispatch['legacy_seconds']}s "
         f"({dispatch['speedup_warm_vs_legacy']:.2f}x, parity "
         f"{dispatch['parity']})"
@@ -1027,20 +921,15 @@ def main(argv=None) -> int:
     sweep = report["sweep_throughput"]
     print(
         f"sweep throughput: warm scheduler {sweep['warm_cells_per_sec']:.0f} "
-        f"cells/s over {sweep['grid_cells']} cells vs legacy dispatch "
-        f"{sweep['legacy_cells_per_sec']:.1f} cells/s "
-        f"({sweep['speedup_warm_vs_legacy']:.1f}x, parity {sweep['parity']})"
+        f"cells/s over {sweep['grid_cells']} cells (parity {sweep['parity']})"
     )
     batch = report["batch_kernel"]
     if batch.get("available"):
         print(
             f"batch kernel: {batch['batch4_cells_per_sec']:.0f} cells/s at "
             f"{batch['kernel_threads']} threads / "
-            f"{batch['batch1_cells_per_sec']:.0f} at 1 vs per-cell "
-            f"{batch['percell_cells_per_sec']:.0f} "
-            f"({batch['speedup_batch4_vs_percell']:.2f}x / "
-            f"{batch['speedup_batch1_vs_percell']:.2f}x, "
-            f"openmp={'on' if batch['openmp'] else 'off'}, "
+            f"{batch['batch1_cells_per_sec']:.0f} at 1 "
+            f"(openmp={'on' if batch['openmp'] else 'off'}, "
             f"parity {batch['parity']})"
         )
     else:

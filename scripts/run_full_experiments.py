@@ -3,7 +3,7 @@
 Usage:  python scripts/run_full_experiments.py [small|medium|full] [outdir]
             [--jobs N] [--no-cache] [--cache-dir DIR]
             [--no-store] [--store-dir DIR]
-            [--no-warm-pool] [--db PATH]
+            [--db PATH]
 
 This is the script behind EXPERIMENTS.md: it executes the shared sweep
 once, regenerates every figure from it, and writes the rendered text
@@ -52,11 +52,6 @@ def parse_args() -> argparse.Namespace:
                         help="run eligible cells through the compiled batch "
                              "kernel (bit-exact; --no-native forces the "
                              "interpreted reference loop)")
-    parser.add_argument("--warm-pool", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="dispatch sweep grids through the persistent "
-                             "warm worker pool (bit-exact; --no-warm-pool "
-                             "falls back to a fresh pool per sweep)")
     parser.add_argument("--db", default=None, metavar="PATH",
                         help="also commit sweep cells into this resumable "
                              "SQLite result store (see docs/sweep_service.md)")
@@ -77,13 +72,13 @@ def main() -> int:
     store = None if args.no_store else TraceStore(args.store_dir or DEFAULT_TRACE_DIR)
     db = None if args.db is None else ResultDB(args.db)
     set_default_execution(jobs=args.jobs, cache=cache, store=store,
-                          native=args.native, warm=args.warm_pool, db=db,
+                          native=args.native, db=db,
                           kernel_threads=args.kernel_threads)
     print(f"result cache: {'off' if cache is None else cache.root}")
     print(f"trace store:  {'off' if store is None else store.root}")
     print(f"result db:    {'off' if db is None else db.path}")
     print(f"kernel:       {'native' if args.native else 'interpreted'}")
-    print(f"dispatch:     {'warm pool' if args.warm_pool else 'fresh pool'}")
+    print(f"dispatch:     {'inline' if args.jobs == 1 else 'warm pool'}")
 
     t0 = time.time()
     # the engine itself is wall-clock-free (lint rule DET003); per-job

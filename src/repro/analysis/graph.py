@@ -86,7 +86,11 @@ class ModuleInfo:
 
 @dataclass(frozen=True)
 class WorkerEntry:
-    """One function handed to an executor's submit-like method."""
+    """One function that runs in another process.
+
+    Handed to an executor's submit-like method, or as ``target=`` to a
+    ``Process``.
+    """
 
     target: str  # qualname of the submitted function
     submitter: str  # qualname of the function containing the submit call
@@ -94,6 +98,8 @@ class WorkerEntry:
     line: int
     call: ast.Call
     submitter_node: FunctionNode
+    #: the argument expressions that cross the boundary with ``target``
+    args: tuple[ast.expr, ...] = ()
 
 
 def _module_name(package: str, rel: str) -> str:
@@ -116,6 +122,31 @@ def _relative_base(modname: str, rel: str, level: int) -> str:
     if drop:
         parts = parts[: -drop or None]
     return ".".join(parts)
+
+
+def _import_bindings(
+    stmt: ast.Import | ast.ImportFrom, info: ModuleInfo
+) -> dict[str, str]:
+    """Local alias -> dotted target for one import statement."""
+    out: dict[str, str] = {}
+    if isinstance(stmt, ast.Import):
+        for alias in stmt.names:
+            local = alias.asname or alias.name.split(".")[0]
+            out[local] = alias.name if alias.asname else alias.name.split(".")[0]
+        return out
+    base = (
+        _relative_base(info.name, info.rel, stmt.level)
+        if stmt.level
+        else (stmt.module or "")
+    )
+    if stmt.level and stmt.module:
+        base = f"{base}.{stmt.module}" if base else stmt.module
+    for alias in stmt.names:
+        if alias.name != "*":
+            out[alias.asname or alias.name] = (
+                f"{base}.{alias.name}" if base else alias.name
+            )
+    return out
 
 
 def _mutable_kind(value: ast.expr, info: ModuleInfo) -> str | None:
@@ -203,24 +234,8 @@ class SemanticModel:
         return info
 
     def _collect_stmt(self, stmt: ast.stmt, info: ModuleInfo) -> None:
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                info.imports[local] = target
-        elif isinstance(stmt, ast.ImportFrom):
-            base = (
-                _relative_base(info.name, info.rel, stmt.level)
-                if stmt.level
-                else (stmt.module or "")
-            )
-            if stmt.level and stmt.module:
-                base = f"{base}.{stmt.module}" if base else stmt.module
-            for alias in stmt.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                info.imports[local] = f"{base}.{alias.name}" if base else alias.name
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            info.imports.update(_import_bindings(stmt, info))
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[stmt.name] = stmt
         elif isinstance(stmt, ast.ClassDef):
@@ -292,15 +307,20 @@ class SemanticModel:
         return "", dotted
 
     def resolve(
-        self, info: ModuleInfo, dotted: str
+        self,
+        info: ModuleInfo,
+        dotted: str,
+        local_imports: dict[str, str] | None = None,
     ) -> tuple[str, str, "ModuleInfo | None"]:
         """Resolve a dotted name used in ``info`` against the project.
 
+        ``local_imports`` are the bindings of imports made inside the
+        function the name appears in; they shadow module-level ones.
         Returns ``(kind, qualname, target_module)`` where kind is one of
         ``"function"``, ``"class"``, ``"module"`` or ``""`` (unresolved).
         """
         head, _, rest = dotted.partition(".")
-        target = info.imports.get(head)
+        target = (local_imports or {}).get(head) or info.imports.get(head)
         if target is None:
             # a name defined in this module itself
             if dotted in info.functions:
@@ -356,12 +376,19 @@ class SemanticModel:
             else ""
         )
         local_types = self._local_class_types(info, node)
+        # lazy imports inside the function (cycle breakers) bind names too
+        local_imports: dict[str, str] = {}
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                local_imports.update(_import_bindings(sub, info))
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Call):
                 continue
             func = sub.func
             if isinstance(func, ast.Name):
-                kind, target, target_info = self.resolve(info, func.id)
+                kind, target, target_info = self.resolve(
+                    info, func.id, local_imports
+                )
                 if kind == "function":
                     out.add(target)
                 elif kind == "class" and target_info is not None:
@@ -379,7 +406,9 @@ class SemanticModel:
                     if f"{cls_qual}.{attr}" in self.functions:
                         out.add(f"{cls_qual}.{attr}")
                     continue
-                kind, target, target_info = self.resolve(info, f"{base}.{attr}")
+                kind, target, target_info = self.resolve(
+                    info, f"{base}.{attr}", local_imports
+                )
                 if kind == "function":
                     out.add(target)
                 elif kind == "class" and target_info is not None:
@@ -440,28 +469,26 @@ class SemanticModel:
     # -- worker entries -------------------------------------------------
 
     def worker_entries(self) -> list[WorkerEntry]:
-        """Every function handed to an executor submit-like method.
+        """Every function that runs in another process.
 
         Detected syntactically: ``anything.submit(fn, ...)`` (and the
-        ``map``/``apply_async`` family) where ``fn`` resolves to a
-        project function.  The receiver is not type-checked — any object
-        with a ``submit`` method is treated as an executor, which errs
-        towards auditing more code, never less.
+        ``map``/``apply_async`` family), and ``Process(target=fn,
+        args=(...))`` (bare, or as ``ctx.Process``), where ``fn``
+        resolves to a project function.  The receiver is not
+        type-checked — any object with a ``submit`` method is treated as
+        an executor, which errs towards auditing more code, never less.
         """
         out: list[WorkerEntry] = []
         for modname in sorted(self.modules):
             info = self.modules[modname]
             for local, fn_node in sorted(info.functions.items()):
-                submitter = f"{modname}.{local}"
                 for sub in ast.walk(fn_node):
-                    if not (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr in SUBMIT_METHODS
-                        and sub.args
-                    ):
+                    if not isinstance(sub, ast.Call):
                         continue
-                    first = sub.args[0]
+                    entry = _entry_call(sub)
+                    if entry is None:
+                        continue
+                    first, args = entry
                     dotted = None
                     if isinstance(first, ast.Name):
                         dotted = first.id
@@ -477,11 +504,30 @@ class SemanticModel:
                     out.append(
                         WorkerEntry(
                             target=target,
-                            submitter=submitter,
+                            submitter=f"{modname}.{local}",
                             rel=info.rel,
                             line=sub.lineno,
                             call=sub,
                             submitter_node=fn_node,
+                            args=args,
                         )
                     )
         return out
+
+
+def _entry_call(
+    call: ast.Call,
+) -> tuple[ast.expr, tuple[ast.expr, ...]] | None:
+    """``(function expr, argument exprs)`` if ``call`` starts a worker."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in SUBMIT_METHODS and call.args:
+        return call.args[0], tuple(call.args[1:])
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "Process":
+        return None
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    if "target" not in keywords:
+        return None
+    args = keywords.get("args")
+    elts = tuple(args.elts) if isinstance(args, (ast.Tuple, ast.List)) else ()
+    return keywords["target"], elts

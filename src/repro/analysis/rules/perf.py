@@ -39,15 +39,17 @@ into slotted layout:
   keep the ``#ifdef _OPENMP`` guard so the serial fallback build keeps
   compiling.
 * ``PERF004`` — the warm-worker batch-dispatch layout
-  (``sim/sched/``) is pinned.  Cells cross the spawn boundary as bare
+  (``sim/sched/``) is pinned.  Every sweep shard runs through the
+  warm pool's ``run_batch``, and cells cross the spawn boundary as bare
   ``CELL_FIELDS`` tuples riding one per-batch ``BatchShared`` — never
-  as per-cell job objects (``SweepJob`` pickles a config per cell) and
-  never as per-cell futures (``concurrent.futures`` re-spawns workers
-  per call).  Queue-put and submit callsites are allowlisted
-  (budget-style, like ``PERF001``): a new place that ships payloads
-  into workers is a reviewed decision, because that is exactly where
-  the per-cell pickling the warm pool exists to avoid would creep
-  back in.
+  as per-cell job objects (a ``SweepJob``-style object pickles a config
+  per cell) and never as per-cell futures (a ``ProcessPoolExecutor``
+  re-spawns workers per call).  Queue-put and submit callsites are
+  allowlisted (budget-style, like ``PERF001``): the scheduler's
+  ``dispatch`` loop is the one place that submits, so a new place that
+  ships payloads into workers is a reviewed decision, because that is
+  exactly where the per-cell pickling the warm pool exists to avoid
+  would creep back in.
 """
 
 from __future__ import annotations
@@ -413,14 +415,9 @@ QUEUE_PUT_ALLOWLIST = frozenset(
 )
 
 #: ``rel-path:qualname`` functions allowed to call ``*.submit(...)``:
-#: the scheduler's batch dispatch, and the legacy pool-per-call paths
-#: kept in ``parallel_compare`` (the measured bench baseline)
-SUBMIT_ALLOWLIST = frozenset(
-    {
-        "sim/sched/scheduler.py:dispatch",
-        f"{PARALLEL_MODULE}:parallel_compare",
-    }
-)
+#: the scheduler's batch dispatch, which ``parallel_compare`` also
+#: goes through
+SUBMIT_ALLOWLIST = frozenset({"sim/sched/scheduler.py:dispatch"})
 
 #: names whose appearance under ``sim/sched/`` signals per-cell payloads
 #: or per-call executors leaking into the warm dispatch layer
@@ -572,8 +569,8 @@ class BatchDispatchLayoutRule(Rule):
                         self.rule_id,
                         f".submit() in {qualname or '<module>'} is not in "
                         "SUBMIT_ALLOWLIST: sweep dispatch goes through "
-                        "the warm pool (or the reviewed legacy paths in "
-                        "parallel_compare), never new per-cell futures",
+                        "the scheduler's run_shards, never new per-cell "
+                        "futures",
                     )
 
 

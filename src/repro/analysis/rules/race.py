@@ -1,13 +1,15 @@
 """RACE: fork/worker-safety for the parallel sweep engine.
 
-The sweep runner ships jobs to a spawn-based ``ProcessPoolExecutor``
-(:mod:`repro.sim.parallel`).  Under spawn, each worker re-imports the
-package, so module-level state is *re-created per process* — mutations
-made in a worker are invisible to the parent and vice versa.  Code that
-relies on such state being shared is silently wrong, and nothing at
-runtime says so.  These rules use the project call graph to find the
-functions reachable from submitted entry points (the *worker-reachable
-set*) and audit what they touch:
+The sweep engine ships shards to the persistent warm worker pool
+(:mod:`repro.sim.sched.pool`): spawn-started ``Process(target=...)``
+workers that run ``run_batch`` for every batch they receive.  Under
+spawn, each worker re-imports the package, so module-level state is
+*re-created per process* — mutations made in a worker are invisible to
+the parent and vice versa.  Code that relies on such state being shared
+is silently wrong, and nothing at runtime says so.  These rules use the
+project call graph to find the functions reachable from worker entry
+points — ``Process`` targets and functions handed to an executor's
+``submit`` (the *worker-reachable set*) — and audit what they touch:
 
 * **RACE001** — a module-level mutable object written on one side of
   the process boundary and read on the other.  One-sided use is fine
@@ -21,7 +23,7 @@ set*) and audit what they touch:
   (``seed_for``-style), or identical/implicit RNG streams make the
   sweep silently depend on scheduling.
 * **RACE003** — an open file / mmap / trace-reader handle passed into a
-  submit call.  OS handles do not survive pickling to a spawned
+  submit call or a ``Process``'s ``args``.  OS handles do not survive pickling to a spawned
   process; workers must receive *paths or keys* and open locally.
 """
 
@@ -252,7 +254,7 @@ class ForkSafetyRule(Rule):
     ) -> Iterator[Finding]:
         for entry in entries:
             bindings = simple_local_bindings(entry.submitter_node)
-            for arg in entry.call.args[1:]:
+            for arg in entry.args:
                 resolved = resolve_local(arg, bindings)
                 if not isinstance(resolved, ast.Call):
                     continue
@@ -300,7 +302,7 @@ class ForkSafetyRule(Rule):
         for entry in entries:
             info = model.by_rel[entry.rel]
             bindings = simple_local_bindings(entry.submitter_node)
-            for arg in entry.call.args[1:]:
+            for arg in entry.args:
                 resolved = resolve_local(arg, bindings)
                 opener = self._opener_name(resolved, info)
                 if opener is not None:

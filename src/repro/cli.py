@@ -114,13 +114,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "(bit-exact; --no-native forces the interpreted reference loop)",
     )
     parser.add_argument(
-        "--warm-pool",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="dispatch store-backed grids to the persistent warm worker "
-        "pool (--no-warm-pool restores the pool-per-call dispatch)",
-    )
-    parser.add_argument(
         "--db",
         default=None,
         metavar="PATH",
@@ -163,14 +156,12 @@ def _configure_execution(args: argparse.Namespace) -> None:
         from repro.sim.sched.db import ResultDB
 
         db = ResultDB(args.db)
-    warm = getattr(args, "warm_pool", True)
     kernel_threads = max(0, getattr(args, "kernel_threads", 0))
     set_default_execution(
         jobs=args.jobs,
         cache=cache,
         store=store,
         native=args.native,
-        warm=warm,
         db=db,
         kernel_threads=kernel_threads,
     )
@@ -178,8 +169,7 @@ def _configure_execution(args: argparse.Namespace) -> None:
         f"execution: jobs={args.jobs}, "
         f"result cache {cache.root if cache else 'off'}, "
         f"trace store {store.root if store else 'off'}, "
-        f"kernel {'native' if args.native else 'interpreted'}, "
-        f"dispatch {'warm-pool' if warm else 'per-call'}"
+        f"kernel {'native' if args.native else 'interpreted'}"
         + (f", kernel threads {kernel_threads}" if kernel_threads else "")
         + (f", result DB {db.path}" if db is not None else ""),
         file=sys.stderr,

@@ -80,7 +80,6 @@ class SweepService:
         cache: SweepCache | None = None,
         jobs: int = 1,
         native: bool = False,
-        kernel_batch: bool = True,
         kernel_threads: int = 0,
     ):
         self.db = db if isinstance(db, ResultDB) else ResultDB(db)
@@ -88,7 +87,6 @@ class SweepService:
         self.cache = cache
         self.jobs = max(1, jobs)
         self.native = native
-        self.kernel_batch = kernel_batch
         self.kernel_threads = kernel_threads
         self.tracker = ProgressTracker(self.db.path)
 
@@ -123,7 +121,6 @@ class SweepService:
             cache=self.cache,
             jobs=self.jobs,
             native=self.native,
-            kernel_batch=self.kernel_batch,
             kernel_threads=self.kernel_threads,
         )
         return scheduler.run_plan_sync(

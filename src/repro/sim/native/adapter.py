@@ -60,9 +60,17 @@ _PF_KINDS = {
 #: a handle frees (``ffi.gc``) when its owner is collected — exactly the
 #: lifetime of the Python-side state it replaces.  Only this module's
 #: functions touch these, and every process builds its own handles, so
-#: the registries never cross the spawn boundary.
+#: the registries never cross the spawn boundary.  Reads of
+#: ``_PF_STATES`` go through :func:`_pf_handle`, which the run paths and
+#: ``repro profile`` share, so each process only sees its own handles.
 _SIM_STATES: "WeakKeyDictionary" = WeakKeyDictionary()
 _PF_STATES: "WeakKeyDictionary" = WeakKeyDictionary()
+
+
+def _pf_handle(pf):
+    """The RpPf handle ``pf`` ran with in this process, or ``None``."""
+    return _PF_STATES.get(pf)
+
 
 #: simulators whose native runs skipped the branch-history fold: the
 #: kernel only replays branch outcomes for the context family (the one
@@ -77,14 +85,6 @@ _SIM_BRANCH_BLIND: "WeakKeyDictionary" = WeakKeyDictionary()
 #: the piece that amortises decode to once per (trace, shape) instead of
 #: once per cell; weak keys free the arrays with the reader.
 _READER_COLUMNS: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
-def reset_state_registries() -> None:
-    """Drop every native handle (test isolation helper)."""
-    _SIM_STATES.clear()
-    _PF_STATES.clear()
-    _SIM_BRANCH_BLIND.clear()
-    _READER_COLUMNS.clear()
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +307,7 @@ def _handles(sim, pf, kind: int, kernel, ctx_cfg=None):
     """
     ffi, lib = kernel.ffi, kernel.lib
     sim_h = _SIM_STATES.get(sim)
-    pf_h = _PF_STATES.get(pf)
+    pf_h = _pf_handle(pf)
     if sim_h is None and not _sim_pristine(sim):
         if pf_h is not None:
             raise RuntimeError(
@@ -555,7 +555,7 @@ def try_native_run(sim, trace, *, workload_name, limit, start_index, warmup):
     — and ``reason`` names why the run fell back (``None`` on success).
     """
     pf = sim.prefetcher
-    committed = sim in _SIM_STATES or pf in _PF_STATES
+    committed = sim in _SIM_STATES or _pf_handle(pf) is not None
     kind = _pf_kind(pf)
     if kind is None:
         return _fall_back(
@@ -608,31 +608,6 @@ def try_native_run(sim, trace, *, workload_name, limit, start_index, warmup):
 
 # ----------------------------------------------------------------------
 # batch entry point: one GIL-released call for a whole workload-pure shard
-
-
-#: deterministic telemetry for the in-kernel batch calls made by this
-#: process — counts only, no clocks (DET003 holds here too).  ``repro
-#: profile`` and the sched tests read it; workers each keep their own
-#: copy (nothing crosses the spawn boundary).
-_BATCH_COUNTERS = {
-    "batches": 0,
-    "cells": 0,
-    "native_cells": 0,
-    "fallback_cells": 0,
-    "kernel_threads": 0,
-    "openmp": 0,
-}
-
-
-def batch_counters() -> dict:
-    """A snapshot of this process's in-kernel batch telemetry."""
-    return dict(_BATCH_COUNTERS)
-
-
-def reset_batch_counters() -> None:
-    """Zero the batch telemetry (test isolation helper)."""
-    for key in _BATCH_COUNTERS:
-        _BATCH_COUNTERS[key] = 0
 
 
 def _batch_handles(kernel, p_hier, p_core, kind: int, pf, ctx_cfg):
@@ -744,7 +719,6 @@ def run_native_batch(
     kernel = kernel_or_none()
     if kernel is None:
         reason = "compiled kernel unavailable"
-        _count_batch(n_cells, 0, threads, 0)
         return results, [reason] * n_cells, trace, limit
     ffi, lib = kernel.ffi, kernel.lib
     kinds: list = [None] * n_cells
@@ -754,7 +728,7 @@ def run_native_batch(
         if kind is None:
             reasons[i] = f"the {pf.name} prefetcher has no native port"
             continue
-        if pf in _PF_STATES or not pf.is_pristine():
+        if _pf_handle(pf) is not None or not pf.is_pristine():
             reasons[i] = "prefetcher carries prior run state"
             continue
         if kind == _PF_CONTEXT:
@@ -781,7 +755,6 @@ def run_native_batch(
                 reasons[i] = "column decode fell back"
             eligible = []
     if not eligible:
-        _count_batch(n_cells, 0, threads, int(lib.rp_batch_openmp()))
         return results, reasons, trace, limit
     core_cfg = core_config if core_config is not None else CoreConfig()
     p_hier = ffi.new("int64_t[]", _hier_values(hier_cfg))
@@ -829,17 +802,7 @@ def run_native_batch(
             "batch kernel handled %d/%d cells; %d fell back",
             native_cells, n_cells, n_cells - native_cells,
         )
-    _count_batch(n_cells, native_cells, threads, int(lib.rp_batch_openmp()))
     return results, reasons, trace, limit
-
-
-def _count_batch(cells: int, native_cells: int, threads: int, openmp: int) -> None:
-    _BATCH_COUNTERS["batches"] += 1
-    _BATCH_COUNTERS["cells"] += cells
-    _BATCH_COUNTERS["native_cells"] += native_cells
-    _BATCH_COUNTERS["fallback_cells"] += cells - native_cells
-    _BATCH_COUNTERS["kernel_threads"] = max(0, int(threads))
-    _BATCH_COUNTERS["openmp"] = openmp
 
 
 #: counter names ``rp_pf_ctx_counters`` fills, in slot order — the same
@@ -877,7 +840,7 @@ def context_unit_counters(pf) -> dict | None:
     kernel = kernel_or_none()
     if kernel is None:
         return None
-    pf_h = _PF_STATES.get(pf)
+    pf_h = _pf_handle(pf)
     if pf_h is None:
         return None
     ffi, lib = kernel.ffi, kernel.lib

@@ -1,35 +1,36 @@
-"""Parallel sweep engine: the grid → jobs → ordered merge pipeline.
+"""Parallel sweep engine: the grid → shards → ordered merge pipeline.
 
 Every cell of a workload × prefetcher sweep is independent — the
 simulator is a pure function of (trace, prefetcher, configs, limit) —
-so the sweep is embarrassingly parallel.  This module fans the grid out
-over a ``ProcessPoolExecutor`` and merges results back **in grid
-order**, so the output is field-for-field identical to the serial path
+so the sweep is embarrassingly parallel.  This module resolves the
+grid, cuts the cells that neither the cache nor the result DB holds
+into workload-pure shards, and runs every shard through
+:func:`~repro.sim.sched.pool.run_batch` via
+:func:`~repro.sim.sched.scheduler.run_shards`: inline in this process
+at ``jobs == 1``, on the persistent warm worker pool otherwise.
+Results merge back **in grid order**, so the output is field-for-field
+identical to the serial loop in :func:`repro.sim.runner.compare`
 (``tests/sim/test_parallel_parity.py`` proves it):
 
-* jobs are enumerated and submitted in deterministic grid order
+* shards are submitted and committed in deterministic grid order
   (workloads outer, prefetchers inner — the serial loop's order);
 * workers never inherit parent state: the pool uses the ``spawn`` start
-  method, and each worker rebuilds its workload and prefetcher from
-  config, re-seeding every RNG from the config's seed field;
-* results cross the process boundary through the versioned codec
-  (:mod:`repro.sim.codec`) — the same encoding the on-disk cache
-  persists, so both paths are exercised by the same parity tests;
-* the merge iterates the original grid, never completion order.
+  method, and each worker rebuilds its prefetchers from config,
+  re-seeding every RNG from the config's seed field;
+* every result crosses the versioned codec (:mod:`repro.sim.codec`) —
+  the same encoding the on-disk cache and the result DB persist — at
+  every ``jobs`` level.
 
-Trace supply (PR 5): with a :class:`~repro.workloads.store.TraceStore`
-configured, registry workloads stop travelling as pickled
-``tuple[MemoryAccess, ...]`` or being rebuilt per cell.  The parent
-resolves each workload to a compiled binary store file (compiling it at
-most once, then reusing it for every later sweep), jobs ship the store
-path plus content fingerprint, and pending cells are grouped into
-**workload-affinity batches** so a worker materialises a given trace at
-most once and runs all of its assigned cells against it.  A store file
-that is corrupt, truncated, or from an older codec version degrades to
-an in-process rebuild — never a crash (``TraceStoreError`` is caught at
-every boundary).  With ``store=None`` the engine behaves exactly as it
-did before the trace store existed; ``scripts/bench_report.py`` measures
-the two dispatch paths against each other.
+Trace supply: with a :class:`~repro.workloads.store.TraceStore`
+configured, registry workloads resolve to a compiled binary store file
+(compiled at most once, then reused by every later sweep) and shards
+ship the store path plus content fingerprint.  Without one, workers
+rebuild registry workloads by name, and ad-hoc programs ship their
+trace by value.  At ``jobs == 1`` a shard carries whatever trace the
+parent already resolved, so nothing is rebuilt.  A store file that is
+corrupt, truncated, or from an older codec version degrades to an
+in-process rebuild — never a crash (``TraceStoreError`` is caught at
+every boundary).
 
 Observability: ``progress`` receives one line per finished cell
 (``[done/total] workload/prefetcher: …``), flagged ``cached`` for cache
@@ -41,24 +42,19 @@ per-job timing inject a clock via ``progress`` closures (see
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
     from repro.sim.runner import ComparisonResult
     from repro.sim.sched.db import ResultDB
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
 from repro.sim.cache import SweepCache, cell_key
-from repro.sim.codec import decode_result, encode_result
-from repro.sim.config import PREFETCHER_FACTORIES
+from repro.sim.codec import decode_result
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import Simulator
 from repro.workloads.serialize import trace_fingerprint
 from repro.workloads.store import (
     StoredTrace,
@@ -73,38 +69,6 @@ from repro.workloads.trace import MemoryAccess, TraceProgram
 ProgressFn = Callable[[str], None]
 
 
-@dataclass(frozen=True)
-class SweepJob:
-    """One executable sweep cell, fully described by value.
-
-    Trace supply, in order of preference:
-
-    * ``store_path``/``store_fingerprint`` — a compiled binary trace in
-      the store; the worker maps and decodes it (memoized per worker),
-      falling back to a registry rebuild if the file went bad;
-    * ``trace`` — the access stream shipped by value (ad-hoc
-      :class:`TraceProgram` instances that workers cannot rebuild);
-    * neither — a registry workload rebuilt by name inside the worker,
-      re-seeded from its own config; workers never receive parent RNG
-      state.
-    """
-
-    index: int
-    workload: str
-    prefetcher: str
-    limit: int | None
-    hierarchy_config: HierarchyConfig | None = None
-    core_config: CoreConfig | None = None
-    context_config: ContextPrefetcherConfig | None = None
-    trace: tuple[MemoryAccess, ...] | None = None
-    store_path: str | None = None
-    store_fingerprint: str = ""
-    #: run the cell through the native batch kernel (bit-neutral: cells
-    #: the kernel cannot take fall back to the interpreted loop, and the
-    #: cache key deliberately excludes this flag)
-    native: bool = False
-
-
 @dataclass
 class ExecutionDefaults:
     """Process-wide defaults the CLI/scripts set once per invocation."""
@@ -113,10 +77,6 @@ class ExecutionDefaults:
     cache: SweepCache | None = None
     store: TraceStore | None = None
     native: bool = False
-    #: dispatch store-backed grids through the persistent warm worker
-    #: pool (:mod:`repro.sim.sched`); ``False`` restores the PR 5
-    #: pool-per-call executor path (the bench baseline)
-    warm: bool = True
     #: stream executed cells into a queryable result DB and reuse any
     #: cell the DB already holds (content-addressed, like the cache)
     db: "ResultDB | None" = None
@@ -147,10 +107,12 @@ def set_default_execution(
 
     ``cache=False`` / ``store=False`` / ``db=False`` (the sentinels)
     leave that default untouched; pass an explicit instance or ``None``
-    to change it.  ``native=None`` / ``warm=None`` /
-    ``kernel_threads=None`` similarly leave the kernel and dispatch
-    selections untouched.
+    to change it.  ``native=None`` / ``kernel_threads=None`` similarly
+    leave the kernel selections untouched.
     """
+    # ``warm`` is kept for existing callers; the warm pool is the only pool
+    if warm is False:
+        raise ValueError("warm=False: the pool-per-call dispatch was removed")
     global _DEFAULTS
     previous = _DEFAULTS
     _DEFAULTS = ExecutionDefaults(
@@ -158,7 +120,6 @@ def set_default_execution(
         cache=previous.cache if cache is False else cache,
         store=previous.store if store is False else store,
         native=previous.native if native is None else bool(native),
-        warm=previous.warm if warm is None else bool(warm),
         db=previous.db if db is False else db,
         kernel_threads=(
             previous.kernel_threads
@@ -169,36 +130,17 @@ def set_default_execution(
     return previous
 
 
-def _make_prefetcher(job: SweepJob):
-    if job.prefetcher == "context" and job.context_config is not None:
-        return ContextPrefetcher(job.context_config)
-    return PREFETCHER_FACTORIES[job.prefetcher]()
-
-
 #: (kernel handled the cell?, fallback reason when it did not); ``None``
 #: stands in for cells where no kernel ran this invocation (cache hits)
 NativeInfo = tuple[bool, str | None]
 
 
-def _run_cell(
-    job: SweepJob, trace: Sequence[MemoryAccess]
-) -> tuple[SimulationResult, NativeInfo]:
-    sim = Simulator(
-        _make_prefetcher(job),
-        hierarchy_config=job.hierarchy_config,
-        core_config=job.core_config,
-        native=job.native,
-    )
-    result = sim.run(trace, workload_name=job.workload, limit=job.limit)
-    return result, (sim.last_run_native, sim.last_native_fallback)
-
-
 # -- store-degrade accounting -------------------------------------------
 #
-# Each process counts its own corrupt-store degrade events; worker-side
-# counts return to the parent *by value* inside batch results (nothing
-# is shared across the spawn boundary), and the parent drains its own
-# counter for inline/resolve-time events.  Both accessors are reachable
+# Each process counts its own corrupt-store degrade events; run_batch
+# returns the count *by value* with every batch (nothing is shared
+# across the spawn boundary), and the parent drains its own counter for
+# resolve-time events.  Both accessors are reachable
 # from the worker entry points, so every access to the counter lives on
 # one side of the boundary at a time.
 
@@ -258,38 +200,13 @@ def _load_trace(
     return _rebuild_by_name(workload, limit)
 
 
-def _job_trace(job: SweepJob) -> Sequence[MemoryAccess]:
-    """Resolve one job's trace (by value, from the store, or rebuilt)."""
-    if job.trace is not None:
-        return job.trace
-    return _load_trace(
-        job.workload, job.store_path, job.store_fingerprint, job.limit, job.native
-    )
-
-
-def run_job(job: SweepJob) -> SimulationResult:
-    """Execute one cell from scratch (also the in-worker entry point)."""
-    return _run_cell(job, _job_trace(job))[0]
-
-
-def _execute_job(job: SweepJob) -> tuple[int, dict[str, Any], NativeInfo]:
-    """Worker body: run the cell, return its index + encoded result.
-
-    Returning the *encoded* form means every parallel result crosses the
-    process boundary through the same versioned codec the cache uses.
-    The :data:`NativeInfo` rides along so the parent can summarize which
-    cells the kernel actually took and why the rest fell back.
-    """
-    result, native_info = _run_cell(job, _job_trace(job))
-    return job.index, encode_result(result), native_info
-
-
-# -- worker-side trace memo ---------------------------------------------
+# -- run_batch trace memo -----------------------------------------------
 #
-# An affinity batch carries every cell of (a chunk of) one workload, so
-# the trace is materialised once per batch; the memo additionally lets a
-# worker that receives several batches of the same workload (or the same
-# workload at several limits) reuse the decoded records across batches.
+# A shard carries every cell of (a chunk of) one workload, so the trace
+# is materialised once per shard; the memo additionally lets a process
+# (a pool worker, or the caller itself at jobs == 1) that runs several
+# shards of the same workload (or the same workload at several limits)
+# reuse the decoded records across shards.
 # Keyed by content fingerprint — never by path alone — so a swapped file
 # can't alias a stale trace.  Capped: traces are large and workers churn
 # through workloads in affinity order, so keeping the last few is enough.
@@ -308,12 +225,10 @@ def _resolve_worker_trace(
     native: bool,
     shipped: Sequence[MemoryAccess] | None = None,
 ) -> Sequence[MemoryAccess]:
-    """Memoized trace resolution shared by every batch executor.
+    """Memoized trace resolution for :func:`~repro.sim.sched.pool.run_batch`.
 
-    Both the legacy pool-per-call batches and the persistent warm
-    workers (:mod:`repro.sim.sched.pool`) resolve traces here, so the
-    two dispatch paths cannot drift: same memo, same degrade handling,
-    same fingerprint checks.
+    A ``shipped`` trace wins; otherwise the store file (or, failing
+    that, a registry rebuild by name) resolves once per memo key.
     """
     if shipped is not None:
         return shipped
@@ -330,45 +245,15 @@ def _resolve_worker_trace(
     return trace
 
 
-def _batch_trace(job: SweepJob) -> Sequence[MemoryAccess]:
-    return _resolve_worker_trace(
-        job.workload,
-        job.store_path,
-        job.store_fingerprint,
-        job.limit,
-        job.native,
-        job.trace,
-    )
-
-
-def _execute_batch(
-    jobs: tuple[SweepJob, ...],
-) -> tuple[list[tuple[int, dict[str, Any], NativeInfo]], int]:
-    """Worker body for one affinity batch: shared trace, ordered results.
-
-    The second element is this worker's store-degrade count since the
-    last batch, returned by value for the parent's resilience summary.
-    """
-    out = []
-    for job in jobs:
-        result, native_info = _run_cell(job, _batch_trace(job))
-        out.append((job.index, encode_result(result), native_info))
-    return out, _drain_store_degrades()
-
-
 @dataclass
 class _Cell:
-    """Bookkeeping for one grid position during a sweep.
+    """Bookkeeping for one grid position during a sweep."""
 
-    ``local_trace`` is the parent-resolved trace, used by the inline
-    (jobs == 1) path so cached-but-cold runs never rebuild a workload
-    per cell; it is never shipped to workers — only ``job`` is.
-    """
-
+    index: int
+    #: grid position of the workload entry: shards never mix entries
+    entry: int
     workload: str
     prefetcher: str
-    job: SweepJob
-    local_trace: Sequence[MemoryAccess] | None = None
     key: str | None = None
     result: SimulationResult | None = None
     cached: bool = False
@@ -492,27 +377,22 @@ def _resolve_grid(
     return out
 
 
-def _affinity_batches(pending: list[_Cell], jobs: int) -> list[tuple[_Cell, ...]]:
-    """Group pending cells into workload-affinity batches, grid order.
+def _shipped_trace(
+    entry: _GridEntry, limit: int | None, jobs: int
+) -> Sequence[MemoryAccess] | None:
+    """The trace a shard carries by value, or ``None`` to resolve it.
 
-    All cells of a batch share one workload, so the worker materialises
-    the trace once per batch.  Each workload is split into at most
-    ``ceil(jobs / n_workloads)`` contiguous chunks — enough batches to
-    occupy every worker, few enough that a trace is decoded a bounded
-    number of times.  Batch order is grid order (workloads outer, chunk
-    offset inner), keeping submission deterministic.
+    Inline (``jobs == 1``) shards carry whatever the parent already
+    holds, so nothing is rebuilt; a warm store entry holds nothing and
+    maps its file.  Pool shards ship only what workers cannot resolve
+    themselves: never a store-backed or registry-by-name trace.
     """
-    groups: dict[str, list[_Cell]] = {}
-    for cell in pending:
-        groups.setdefault(cell.workload, []).append(cell)
-    chunks_per = max(1, -(-jobs // len(groups)))  # ceil division
-    batches: list[tuple[_Cell, ...]] = []
-    for cells in groups.values():
-        k = min(len(cells), chunks_per)
-        size = -(-len(cells) // k)
-        for start in range(0, len(cells), size):
-            batches.append(tuple(cells[start : start + size]))
-    return batches
+    if jobs <= 1:
+        return entry.trace
+    if entry.stored is not None or (entry.by_name and limit is None):
+        return None
+    assert entry.trace is not None
+    return tuple(entry.trace if limit is None else entry.trace[:limit])
 
 
 def parallel_compare(
@@ -527,7 +407,6 @@ def parallel_compare(
     cache: SweepCache | None = None,
     store: TraceStore | None = None,
     native: bool = False,
-    warm: bool | None = None,
     db: "ResultDB | None" = None,
     progress: ProgressFn | None = None,
 ) -> "ComparisonResult":
@@ -540,20 +419,21 @@ def parallel_compare(
     keys are identical with the store on or off, because the store
     header carries the same content fingerprint the cache hashes.
 
-    ``warm`` selects the dispatch path for store-backed grids: ``True``
-    (the default) sends workload-affinity batches to the process-wide
-    persistent worker pool (:mod:`repro.sim.sched.pool`), so repeated
+    Pending cells run as workload-pure shards through
+    :func:`~repro.sim.sched.scheduler.run_shards`: inline at
+    ``jobs == 1``, on the process-wide warm pool otherwise, so repeated
     sweeps share spawned interpreters, decoded traces and warm kernel
-    handles; ``False`` restores the PR 5 pool-per-call executor.  Both
-    are bit-identical to serial.  ``db`` streams executed cells into a
-    queryable :class:`~repro.sim.sched.db.ResultDB` and reuses any cell
-    the DB already holds; ``None`` defers both to the process-wide
-    execution defaults.
+    handles.  ``db`` streams executed cells into a queryable
+    :class:`~repro.sim.sched.db.ResultDB` (one commit per shard) and
+    reuses any cell the DB already holds; ``None`` defers to the
+    process-wide execution defaults.
     """
     from repro.sim.runner import ComparisonResult
+    from repro.sim.sched.plan import max_batch_cells, shard_by_workload
+    from repro.sim.sched.pool import BatchShared
+    from repro.sim.sched.scheduler import run_shards_sync
 
     defaults = default_execution()
-    effective_warm = defaults.warm if warm is None else warm
     effective_db = defaults.db if db is None else db
 
     # per-call resilience accounting: discard any counts left over from
@@ -565,48 +445,29 @@ def parallel_compare(
 
     prefetcher_names = list(prefetchers)
     grid = _resolve_grid(workloads, store)
+    want_key = cache is not None or effective_db is not None
 
     cells: list[_Cell] = []
-    for entry in grid:
+    shared_by_entry: list[BatchShared] = []
+    for pos, entry in enumerate(grid):
         name = entry.name
-        want_key = cache is not None or effective_db is not None
         trace_fp = _entry_fingerprint(entry) if want_key else ""
-        if entry.stored is not None:
-            # the worker maps the compiled file (or this process decodes
-            # it lazily on the inline path); nothing ships by value
-            shipped = None
-        elif entry.by_name and limit is None:
-            shipped = None
-        elif limit is not None:
-            assert entry.trace is not None
-            shipped = tuple(entry.trace[:limit])
-        else:
-            assert entry.trace is not None
-            shipped = tuple(entry.trace)
-        for pf_name in prefetcher_names:
-            job = SweepJob(
-                index=len(cells),
+        shared_by_entry.append(
+            BatchShared(
                 workload=name,
-                prefetcher=pf_name,
                 limit=limit,
+                native=native,
                 hierarchy_config=hierarchy_config,
                 core_config=core_config,
-                context_config=context_config,
-                trace=shipped,
-                store_path=(
-                    entry.stored.path if entry.stored is not None else None
-                ),
-                store_fingerprint=(
-                    entry.stored.fingerprint if entry.stored is not None else ""
-                ),
-                native=native,
+                context_table=(context_config,),
+                store_path=entry.stored.path if entry.stored else None,
+                store_fingerprint=entry.stored.fingerprint if entry.stored else "",
+                trace=_shipped_trace(entry, limit, jobs),
+                kernel_threads=defaults.kernel_threads,
             )
-            cell = _Cell(
-                workload=name,
-                prefetcher=pf_name,
-                job=job,
-                local_trace=entry.trace,
-            )
+        )
+        for pf_name in prefetcher_names:
+            cell = _Cell(index=len(cells), entry=pos, workload=name, prefetcher=pf_name)
             if want_key:
                 cell.key = cell_key(
                     workload=name,
@@ -636,6 +497,8 @@ def parallel_compare(
     done = 0
 
     def report(cell: _Cell) -> None:
+        nonlocal done
+        done += 1
         if progress is None:
             return
         assert cell.result is not None
@@ -644,134 +507,43 @@ def parallel_compare(
 
     for cell in cells:
         if cell.cached or cell.from_db:
-            done += 1
             report(cell)
 
-    def finish(
-        cell: _Cell, payload: dict[str, Any], native_info: NativeInfo
-    ) -> None:
-        nonlocal done
-        cell.result = decode_result(payload)
-        cell.native_info = native_info
-        done += 1
-        if cache is not None and cell.key is not None:
-            cache.store(cell.key, cell.result)
-        if effective_db is not None and cell.key is not None:
-            # ad-hoc rows carry an empty sweep id: `repro serve status`
-            # reports them as their own bucket
-            effective_db.store_cells(
-                "",
-                [
-                    (
-                        cell.key,
-                        cell.job.index,
-                        cell.workload,
-                        cell.prefetcher,
-                        payload,
-                    )
-                ],
-            )
-        report(cell)
-
-    pending = [cell for cell in cells if cell.result is None]
-    if pending and jobs > 1:
-        # spawn (not fork): workers start from a clean interpreter and
-        # can only re-seed from config, never inherit parent RNG state
-        if store is not None and effective_warm:
-            # persistent warm workers via the scheduler dispatch path:
-            # same affinity batching, but the pool (and everything warm
-            # inside it) outlives this call and is shared process-wide
-            from repro.sim.sched.plan import shard_by_workload
-            from repro.sim.sched.pool import BatchShared, shared_pool
-            from repro.sim.sched.scheduler import dispatch_sync
-
-            batches = shard_by_workload(
-                pending, lambda cell: cell.workload, jobs
-            )
-            messages = []
-            for batch in batches:
-                lead = batch[0].job
-                shared = BatchShared(
-                    workload=lead.workload,
-                    limit=lead.limit,
-                    native=lead.native,
-                    hierarchy_config=lead.hierarchy_config,
-                    core_config=lead.core_config,
-                    context_table=(lead.context_config,),
-                    store_path=lead.store_path,
-                    store_fingerprint=lead.store_fingerprint,
-                    trace=lead.trace,
-                    kernel_threads=default_execution().kernel_threads,
-                )
-                messages.append(
-                    (
-                        shared,
-                        tuple(
-                            (cell.job.index, cell.job.prefetcher, 0)
-                            for cell in batch
-                        ),
-                    )
-                )
-            by_index = {cell.job.index: cell for cell in pending}
-
-            def on_batch(_pos: int, results: list, degrades: int) -> None:
-                nonlocal store_degrades
-                store_degrades += degrades
-                for index, payload, native_info in results:
-                    finish(by_index[index], payload, native_info)
-
-            dispatch_sync(shared_pool(jobs), messages, on_batch)
-        elif store is not None:
-            # PR 5 cold path (kept as the measurable dispatch baseline):
-            # workload-affinity batches on a pool spawned per call
-            batches = _affinity_batches(pending, jobs)
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(batches)),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                futures: list[tuple[tuple[_Cell, ...], Future]] = [
-                    (batch, pool.submit(_execute_batch, tuple(c.job for c in batch)))
-                    for batch in batches
-                ]
-                # iterate submission order, not completion order:
-                # progress lines and cache stores stay deterministic
-                by_index = {cell.job.index: cell for cell in pending}
-                for batch, future in futures:
-                    results, degrades = future.result()
-                    store_degrades += degrades
-                    for index, payload, native_info in results:
-                        finish(by_index[index], payload, native_info)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)),
-                mp_context=get_context("spawn"),
-            ) as pool:
-                job_futures: list[tuple[_Cell, Future]] = [
-                    (cell, pool.submit(_execute_job, cell.job)) for cell in pending
-                ]
-                for cell, future in job_futures:
-                    index, payload, native_info = future.result()
-                    assert index == cell.job.index
-                    finish(cell, payload, native_info)
-    else:
-        # inline path: materialise each store-backed workload at most
-        # once in this process, so cached-but-cold runs never decode (or
-        # rebuild) a trace per cell
-        local_traces: dict[str, Sequence[MemoryAccess]] = {}
-        for cell in pending:
-            trace = cell.local_trace
-            if trace is None:
-                trace = local_traces.get(cell.workload)
-                if trace is None:
-                    trace = _job_trace(cell.job)
-                    local_traces[cell.workload] = trace
-            result, native_info = _run_cell(cell.job, trace)
-            cell.result = decode_result(encode_result(result))
+    def finish(_pos: int, results: list, degrades: int) -> None:
+        """Commit one shard's results, in submission order."""
+        nonlocal store_degrades
+        store_degrades += degrades
+        rows = []
+        for index, payload, native_info in results:
+            cell = cells[index]
+            cell.result = decode_result(payload)
             cell.native_info = native_info
-            done += 1
             if cache is not None and cell.key is not None:
                 cache.store(cell.key, cell.result)
-            report(cell)
+            if cell.key is not None:
+                rows.append((cell.key, index, cell.workload, cell.prefetcher, payload))
+        if effective_db is not None:
+            # ad-hoc rows carry an empty sweep id: `repro serve status`
+            # reports them as their own bucket
+            effective_db.store_cells("", rows)
+        for index, _payload, _native_info in results:
+            report(cells[index])
+
+    pending = [cell for cell in cells if cell.result is None]
+    shards = shard_by_workload(
+        pending, lambda cell: cell.entry, jobs, max_batch=max_batch_cells(native)
+    )
+    run_shards_sync(
+        jobs,
+        [
+            (
+                shared_by_entry[shard[0].entry],
+                tuple((cell.index, cell.prefetcher, 0) for cell in shard),
+            )
+            for shard in shards
+        ],
+        finish,
+    )
 
     comparison = ComparisonResult()
     for cell in cells:
@@ -781,10 +553,10 @@ def parallel_compare(
             comparison.native_cells[f"{cell.workload}/{cell.prefetcher}"] = (
                 cell.native_info
             )
-    # resilience roll-up: worker deltas came back by value with each
-    # batch; the parent's own events (grid resolve, inline path) drain
-    # here, and the cache/store instance counters diff against the
-    # snapshots taken on entry
+    # resilience roll-up: run_batch returned each shard's degrade count
+    # by value; the parent's own grid-resolve events drain here, and the
+    # cache/store instance counters diff against the snapshots taken on
+    # entry
     store_degrades += _drain_store_degrades()
     if store is not None:
         store_degrades += store.heals - store_heals_before
@@ -846,10 +618,8 @@ def parallel_storage_sweep(
 
 __all__ = [
     "ExecutionDefaults",
-    "SweepJob",
     "default_execution",
     "parallel_compare",
     "parallel_storage_sweep",
-    "run_job",
     "set_default_execution",
 ]

@@ -53,10 +53,6 @@ class ProfileReport:
     #: populated for native runs profiled with cProfile; call structure
     #: is deterministic, the timings are machine-dependent
     native_phases: dict[str, float] = field(default_factory=dict)
-    #: in-kernel batch driver counters (batches dispatched, cells per
-    #: path, thread setting) accumulated in this process — all zero for
-    #: single-cell runs; see ``repro.sim.native.adapter.batch_counters``
-    batch_counters: dict[str, int] = field(default_factory=dict)
 
 
 def _unit_counters(
@@ -237,13 +233,6 @@ def profile_run(
     else:
         result = sim.run(trace, workload_name=workload_name)
 
-    if native:
-        from repro.sim.native.adapter import batch_counters
-
-        batch = dict(batch_counters())
-    else:
-        batch = {}
-
     return ProfileReport(
         workload=workload_name,
         prefetcher=prefetcher_name,
@@ -254,7 +243,6 @@ def profile_run(
         top=top,
         native=sim.last_run_native,
         native_phases=native_phases,
-        batch_counters=batch,
     )
 
 
@@ -284,10 +272,6 @@ def render(report: ProfileReport) -> str:
         for name, seconds in report.native_phases.items():
             share = seconds / total if total else 0.0
             lines.append(f"    {name:28s} {seconds:>10.4f}s  ({share:5.1%})")
-    if any(report.batch_counters.values()):
-        lines += ["", "batch kernel counters (this process, deterministic):"]
-        for name, value in report.batch_counters.items():
-            lines.append(f"    {name:28s} {value:>10d}")
     if report.timing_table:
         lines += [
             "",

@@ -262,10 +262,9 @@ def storage_sweep(
 
     Each entry of ``cst_sizes`` is a CST entry count; the reducer scales
     at 8× as the paper does.  Returns {cst_entries: {workload: result}}.
-    Baseline (no-prefetch) results are included under each size via the
-    key ``"__baseline__:<workload>"``-free convention: callers should run
-    a separate baseline comparison; this helper focuses on the context
-    prefetcher itself.
+    Only the context prefetcher runs here; callers that need the
+    no-prefetch baseline run one separate comparison, since baseline
+    cells do not depend on the CST size.
     """
     from repro.sim.cache import resolve_cache
     from repro.sim.parallel import default_execution, parallel_storage_sweep

@@ -8,22 +8,24 @@ layers, each testable on its own:
   deterministic grid order, content-addressed per cell with the result
   cache's :func:`~repro.sim.cache.cell_key`, and sharded into
   workload-affinity batches;
-* :mod:`repro.sim.sched.pool` — the persistent spawn-based worker pool:
-  workers stay alive across batches and sweeps, keeping mmap'd trace
-  readers, decoded column arrays and the compiled native kernel handle
-  resident, so decode/build cost is paid once per worker rather than
-  once per cell;
+* :mod:`repro.sim.sched.pool` — ``run_batch``, the one executor every
+  sweep shard runs through, and the persistent spawn-based worker pool
+  that runs it: workers stay alive across batches and sweeps, keeping
+  mmap'd trace readers, decoded column arrays and the compiled native
+  kernel handle resident, so decode/build cost is paid once per worker
+  rather than once per cell;
 * :mod:`repro.sim.sched.db` — the SQLite result store under
   ``results/``: one row per content-addressed cell over the versioned
   codec, committed per batch, with a canonical logical dump so two DBs
   can be compared bit-for-bit regardless of page layout;
-* :mod:`repro.sim.sched.scheduler` — the asyncio submit/drain loop that
-  ties them together and implements resume: a restarted sweep diffs its
-  plan's keys against the DB and re-enqueues only the remainder.
+* :mod:`repro.sim.sched.scheduler` — ``run_shards`` (inline at
+  ``jobs == 1``, the asyncio submit/drain loop over the pool otherwise)
+  and the resume logic: a restarted sweep diffs its plan's keys against
+  the DB and re-enqueues only the remainder.
 
 ``repro serve`` (:mod:`repro.serve`) is the user-facing client;
-:func:`repro.sim.parallel.parallel_compare` dispatches its store-backed
-grids through the same pool, so ``repro sweep``/``figure`` and
+:func:`repro.sim.parallel.parallel_compare` runs its grids through the
+same ``run_shards``, so ``repro sweep``/``figure`` and
 ``scripts/run_full_experiments.py`` share the warm workers for free.
 """
 

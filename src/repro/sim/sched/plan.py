@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence, TypeVar
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
@@ -37,6 +37,7 @@ __all__ = [
     "KERNEL_BATCH_CELLS",
     "GridPlan",
     "PlanCell",
+    "max_batch_cells",
     "shard_by_workload",
 ]
 
@@ -51,6 +52,11 @@ DEFAULT_BATCH_CELLS = 512
 #: overhead while a commit granule of ~1k sub-millisecond cells still
 #: streams results back several times per second
 KERNEL_BATCH_CELLS = 1024
+
+
+def max_batch_cells(native: bool) -> int:
+    """The one shard-size rule every sweep caller shards with."""
+    return KERNEL_BATCH_CELLS if native else DEFAULT_BATCH_CELLS
 
 
 class PlanCell(NamedTuple):
@@ -181,20 +187,23 @@ _T = TypeVar("_T")
 
 def shard_by_workload(
     items: Sequence[_T],
-    workload_of: Callable[[_T], str],
+    workload_of: Callable[[_T], Hashable],
     jobs: int,
     max_batch: int = DEFAULT_BATCH_CELLS,
 ) -> list[tuple[_T, ...]]:
     """Workload-affinity batches, grid order, bounded batch size.
 
-    Generalizes the PR 5 affinity grouping: all cells of a batch share
-    one workload (the worker materialises the trace once per batch and
+    ``workload_of`` may return any hashable: ``parallel_compare`` groups
+    by grid position, so two ad-hoc programs sharing a name never share
+    a shard.
+
+    All cells of a batch share one workload (the worker materialises the trace once per batch and
     its memo keeps it resident across batches), each workload splits
     into enough contiguous chunks to occupy every worker, and no batch
     exceeds ``max_batch`` cells so results stream back — and commit to
     the result DB — while the grid is still executing.
     """
-    groups: dict[str, list[_T]] = {}
+    groups: dict[Hashable, list[_T]] = {}
     for item in items:
         groups.setdefault(workload_of(item), []).append(item)
     if not groups:

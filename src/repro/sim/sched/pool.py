@@ -1,13 +1,12 @@
-"""Persistent warm worker pool for batched sweep dispatch.
+"""Persistent warm worker pool and the one shard executor, ``run_batch``.
 
-The PR 5 engine paid pool startup (spawn + package import), trace
-decode and native-kernel warm-up once per ``parallel_compare`` call;
-a config sweep that makes hundreds of such calls pays those costs
-hundreds of times.  This pool keeps spawn-started workers alive for
-the whole process: each worker's trace memo, decoded column arrays and
-compiled kernel handle stay resident across every batch — and every
-sweep — it serves, so the per-cell cost converges on the simulation
-itself.
+Every sweep cell — ``parallel_compare``, ``repro serve submit``, at any
+``jobs`` level — executes inside :func:`run_batch`: inline in the
+calling process at ``jobs == 1``, in a pool worker otherwise.  The pool
+keeps spawn-started workers alive for the whole process: each worker's
+trace memo, decoded column arrays and compiled kernel handle stay
+resident across every batch — and every sweep — it serves, so the
+per-cell cost converges on the simulation itself.
 
 Batch protocol (PERF004 pins the layout):
 
@@ -18,23 +17,24 @@ Batch protocol (PERF004 pins the layout):
   cross the boundary once per batch, never once per cell;
 * results return as ``("done", batch_id, [(index, encoded payload,
   native_info), ...], store_degrades)`` — every result crosses through
-  the versioned codec exactly as the cache and the legacy executor path
-  do, and worker-side store-degrade counts ride back *by value* (each
-  process counts its own events; nothing is shared across spawn);
-* a worker exception answers ``("error", batch_id, message)`` and the
+  the versioned codec exactly as the cache does, and worker-side
+  store-degrade counts ride back *by value* (each process counts its
+  own events; nothing is shared across spawn);
+* a worker exception answers ``("error", batch_id, traceback)`` and the
   worker survives to take the next batch.
 
 Workers are daemonic spawn processes: they never inherit parent RNG or
 cache state, and they die with the parent.  A worker killed from the
 outside is detected while draining (the queue read times out and the
-pool checks liveness) and surfaces as :class:`WorkerPoolError` — the
-result DB keeps every batch committed before the kill, so the sweep
-resumes instead of recomputing.
+pool checks liveness) and surfaces as :class:`WorkerPoolError` naming
+each dead worker's exit code — the result DB keeps every batch
+committed before the kill, so the sweep resumes instead of recomputing.
 """
 
 from __future__ import annotations
 
 import atexit
+import traceback
 from dataclasses import dataclass
 from multiprocessing import get_context
 from queue import Empty
@@ -54,6 +54,7 @@ __all__ = [
     "CELL_FIELDS",
     "WorkerPool",
     "WorkerPoolError",
+    "run_batch",
     "shared_pool",
     "shutdown_pools",
 ]
@@ -86,12 +87,9 @@ class BatchShared:
     #: compiled store file + content fingerprint (preferred supply)
     store_path: str | None = None
     store_fingerprint: str = ""
-    #: ad-hoc trace shipped by value (workloads workers cannot rebuild)
-    trace: tuple[MemoryAccess, ...] | None = None
-    #: hand whole shards to the kernel's batch driver (one GIL-released
-    #: C call per batch) when native; False pins the per-cell dispatch
-    #: path (the PR 9 baseline, kept for benchmarks and bisection)
-    kernel_batch: bool = True
+    #: trace supplied by value: ad-hoc workloads workers cannot rebuild,
+    #: or (inline, ``jobs == 1``) the trace the parent already resolved
+    trace: Sequence[MemoryAccess] | None = None
     #: OpenMP team size for the in-kernel batch (0 = the OpenMP default;
     #: ignored by serial builds, which are bit-identical anyway)
     kernel_threads: int = 0
@@ -109,14 +107,11 @@ def run_batch(
 ) -> tuple[list[tuple[int, dict[str, Any], tuple[bool, str | None]]], int]:
     """Execute one batch in this process; ``(results, store degrades)``.
 
-    The trace resolves through the worker memo exactly as the legacy
-    batch path does (decode once, reuse across batches).  When the batch
-    is native and the kernel's batch driver is enabled, the whole cell
-    list crosses into C in one GIL-released ``rp_run_batch`` call —
-    per-cell results bit-identical to the per-cell dispatch below, which
-    both serves as the fallback for cells the kernel cannot represent
-    (each degrades alone, with its own reason) and remains the whole
-    path when ``kernel_batch`` is off.
+    The trace resolves through this process's trace memo (decode once,
+    reuse across batches).  A native batch crosses into C in one GIL-released
+    ``rp_run_batch`` call; the per-cell interpreted loop below runs the
+    whole batch when it is not native, and otherwise only the cells the
+    kernel cannot represent (each degrades alone, with its own reason).
     """
     from repro.sim.parallel import _drain_store_degrades, _resolve_worker_trace
 
@@ -134,7 +129,7 @@ def run_batch(
         for _index, prefetcher, context_id in cells
     ]
     batch_results = None
-    if shared.native and shared.kernel_batch:
+    if shared.native:
         from repro.sim.native.adapter import run_native_batch
 
         batch_results, _reasons, trace, limit = run_native_batch(
@@ -182,9 +177,25 @@ def _worker_main(task_q, result_q) -> None:  # pragma: no cover - child process
         try:
             results, degrades = run_batch(shared, cells)
         except BaseException as exc:  # noqa: BLE001 - answered to the parent
-            result_q.put(("error", batch_id, f"{type(exc).__name__}: {exc}"))
+            result_q.put(("error", batch_id, traceback.format_exc()))
         else:
             result_q.put(("done", batch_id, results, degrades))
+
+
+def _death_message(dead: list[tuple[str, int | None]]) -> str:
+    """Why the pool stopped: every dead worker with its exit code."""
+    names = ", ".join(f"{name} (exit code {code})" for name, code in dead)
+    message = (
+        f"worker(s) {names} died with work outstanding; completed batches "
+        "are already committed — resubmit the sweep to resume"
+    )
+    if any(code == 1 for _name, code in dead):
+        # spawn re-imports the parent's __main__ in every worker
+        message += (
+            "; exit code 1 at start-up usually means the driver script "
+            'lacks an `if __name__ == "__main__":` guard'
+        )
+    return message
 
 
 class WorkerPool:
@@ -229,13 +240,11 @@ class WorkerPool:
             try:
                 message = self._result_q.get(timeout=_DRAIN_POLL_S)
             except Empty:
-                dead = [p.name for p in self._procs if not p.is_alive()]
+                dead = sorted(
+                    (p.name, p.exitcode) for p in self._procs if not p.is_alive()
+                )
                 if dead:
-                    raise WorkerPoolError(
-                        f"worker(s) {', '.join(sorted(dead))} died with work "
-                        "outstanding; completed batches are already committed "
-                        "— resubmit the sweep to resume"
-                    ) from None
+                    raise WorkerPoolError(_death_message(dead)) from None
                 continue
             if message[0] == "error":
                 raise WorkerPoolError(f"batch {message[1]} failed: {message[2]}")

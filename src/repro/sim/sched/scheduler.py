@@ -1,11 +1,14 @@
-"""The asyncio submit/drain scheduler over the persistent worker pool.
+"""The asyncio submit/drain scheduler: the one way sweep shards execute.
 
-One dispatch loop serves every caller: ``repro serve submit`` runs a
-whole :class:`~repro.sim.sched.plan.GridPlan` through
+Every caller cuts its pending cells into workload-pure shards and hands
+them to :func:`run_shards`: ``repro serve submit`` runs a whole
+:class:`~repro.sim.sched.plan.GridPlan` through
 :meth:`SweepScheduler.run_plan`, and
-:func:`repro.sim.parallel.parallel_compare` pushes its store-backed
-grids through :func:`dispatch_sync` — the same chunked submit/drain,
-the same ordering guarantees, the same pool.
+:func:`repro.sim.parallel.parallel_compare` runs its grids through the
+same function.  At ``jobs == 1`` each shard executes inline in the
+calling process through :func:`~repro.sim.sched.pool.run_batch`; above
+that, :func:`dispatch` streams the shards over the persistent pool,
+whose workers run the same ``run_batch``.
 
 Ordering contract: batches are processed **in submission order**, never
 completion order.  Out-of-order results are buffered until their turn,
@@ -17,9 +20,9 @@ through bounded queues instead of materialising everywhere at once.
 
 Resume: before dispatching, :meth:`run_plan` diffs the plan's
 content-addressed cell keys against the result DB and enqueues only the
-remainder.  Completed cells are never re-simulated — the kill-and-
-resume suite proves a resumed sweep's DB is canonically identical to an
-uninterrupted one.
+remainder, each distinct key once.  Completed cells are never
+re-simulated — the kill-and-resume suite proves a resumed sweep's DB is
+canonically identical to an uninterrupted one.
 
 Wall-clock time is deliberately absent (lint rule DET003 covers this
 package): throughput measurement lives in ``scripts/bench_report.py``.
@@ -34,13 +37,12 @@ from typing import Any, Callable, Sequence
 from repro.sim.cache import SweepCache
 from repro.sim.sched.db import ResultDB
 from repro.sim.sched.plan import (
-    DEFAULT_BATCH_CELLS,
-    KERNEL_BATCH_CELLS,
     GridPlan,
     PlanCell,
+    max_batch_cells,
     shard_by_workload,
 )
-from repro.sim.sched.pool import BatchShared, WorkerPool, shared_pool
+from repro.sim.sched.pool import BatchShared, WorkerPool, run_batch, shared_pool
 from repro.workloads.store import TraceStore
 
 __all__ = [
@@ -48,10 +50,13 @@ __all__ = [
     "SweepScheduler",
     "SweepStats",
     "dispatch",
-    "dispatch_sync",
+    "run_shards",
+    "run_shards_sync",
 ]
 
 ProgressFn = Callable[[str], None]
+Batch = tuple[BatchShared, tuple[tuple[int, str, int], ...]]
+OnBatch = Callable[[int, list, int], None]
 
 #: batches in flight per worker: 2 keeps every worker busy the moment it
 #: finishes (the next batch is already queued) without ballooning queues
@@ -83,9 +88,7 @@ class SweepStats:
 
 
 async def dispatch(
-    pool: WorkerPool,
-    batches: Sequence[tuple[BatchShared, tuple[tuple[int, str, int], ...]]],
-    on_batch: Callable[[int, list, int], None],
+    pool: WorkerPool, batches: Sequence[Batch], on_batch: OnBatch
 ) -> None:
     """Chunked submit/drain of ``batches`` over ``pool``.
 
@@ -118,13 +121,25 @@ async def dispatch(
         next_finish += 1
 
 
-def dispatch_sync(
-    pool: WorkerPool,
-    batches: Sequence[tuple[BatchShared, tuple[tuple[int, str, int], ...]]],
-    on_batch: Callable[[int, list, int], None],
-) -> None:
-    """Synchronous façade over :func:`dispatch` for non-async callers."""
-    asyncio.run(dispatch(pool, batches, on_batch))
+async def run_shards(jobs: int, batches: Sequence[Batch], on_batch: OnBatch) -> None:
+    """Execute ``batches`` through ``run_batch``, in submission order.
+
+    ``jobs == 1`` runs each shard inline in this process (nothing is
+    spawned); above that the shards stream over ``shared_pool(jobs)``.
+    ``on_batch`` sees the same ``(batch_pos, results, store_degrades)``
+    calls either way.
+    """
+    if jobs <= 1:
+        for pos, (shared, cells) in enumerate(batches):
+            results, degrades = run_batch(shared, cells)
+            on_batch(pos, results, degrades)
+        return
+    await dispatch(shared_pool(jobs), batches, on_batch)
+
+
+def run_shards_sync(jobs: int, batches: Sequence[Batch], on_batch: OnBatch) -> None:
+    """Synchronous façade over :func:`run_shards` for non-async callers."""
+    asyncio.run(run_shards(jobs, batches, on_batch))
 
 
 class SweepScheduler:
@@ -138,7 +153,6 @@ class SweepScheduler:
         cache: SweepCache | None = None,
         jobs: int = 1,
         native: bool = False,
-        kernel_batch: bool = True,
         kernel_threads: int = 0,
     ):
         self.db = db
@@ -146,9 +160,6 @@ class SweepScheduler:
         self.cache = cache
         self.jobs = max(1, jobs)
         self.native = native
-        #: hand whole shards to the kernel's batch driver (native only);
-        #: False pins the PR 9 per-cell dispatch (benchmarks, bisection)
-        self.kernel_batch = kernel_batch
         #: OpenMP team size inside each worker's batch call (0 = default)
         self.kernel_threads = kernel_threads
 
@@ -184,7 +195,7 @@ class SweepScheduler:
 
     def _batch_message(
         self, plan: GridPlan, supplies: dict[str, Any], batch: tuple[PlanCell, ...]
-    ) -> tuple[BatchShared, tuple[tuple[int, str, int], ...]]:
+    ) -> Batch:
         workload = batch[0].workload
         ref = supplies[workload]
         # ship only the context-table slice this shard references (shards
@@ -203,7 +214,6 @@ class SweepScheduler:
             context_table=plan.context_configs[lo : hi + 1],
             store_path=ref.path if ref is not None else None,
             store_fingerprint=ref.fingerprint if ref is not None else "",
-            kernel_batch=self.kernel_batch,
             kernel_threads=self.kernel_threads,
         )
         return shared, tuple(
@@ -221,6 +231,11 @@ class SweepScheduler:
         on_cells: Callable[[str, int, int], None] | None = None,
     ) -> SweepStats:
         """Execute ``plan``, resuming any cells the DB already holds.
+
+        Pending cells are deduplicated by key, keeping the first index:
+        a key the plan enumerates twice (e.g. a non-``context`` cell
+        under every context config) simulates once, and its copies
+        count as done when that one commits.
 
         ``max_cells`` caps how many *pending* cells this call executes
         (the deterministic stand-in for a mid-sweep kill: the DB is left
@@ -246,8 +261,19 @@ class SweepScheduler:
 
         done_keys = self.db.completed_keys(keys)
         cells = list(plan.cells())
-        pending = [cell for cell in cells if keys[cell.index] not in done_keys]
-        resumed = len(cells) - len(pending)
+        #: pending key -> how many plan cells it stands for
+        copies: dict[str, int] = {}
+        pending = []
+        for cell in cells:
+            key = keys[cell.index]
+            if key in done_keys:
+                continue
+            if key in copies:
+                copies[key] += 1
+            else:
+                copies[key] = 1
+                pending.append(cell)
+        resumed = len(cells) - sum(copies.values())
         if max_cells is not None:
             pending = pending[:max_cells]
 
@@ -267,21 +293,15 @@ class SweepScheduler:
                 progress(stats.summary())
             return stats
 
-        # in-kernel batching amortises the C-call boundary across the
-        # whole shard, so bigger shards help; cap them lower on the
-        # per-cell path, where a shard is also the commit granule
-        max_batch = (
-            KERNEL_BATCH_CELLS
-            if self.native and self.kernel_batch
-            else DEFAULT_BATCH_CELLS
-        )
         batches = [
             self._batch_message(plan, supplies, batch)
             for batch in shard_by_workload(
-                pending, lambda cell: cell.workload, self.jobs, max_batch=max_batch
+                pending,
+                lambda cell: cell.workload,
+                self.jobs,
+                max_batch=max_batch_cells(self.native),
             )
         ]
-        by_index = {cell.index: cell for cell in pending}
         finished = 0
 
         def on_batch(batch_pos: int, results: list, degrades: int) -> None:
@@ -289,7 +309,7 @@ class SweepScheduler:
             stats.store_degrades += degrades
             rows = []
             for index, payload, _native_info in results:
-                cell = by_index[index]
+                cell = cells[index]
                 rows.append(
                     (keys[index], index, cell.workload, cell.prefetcher, payload)
                 )
@@ -298,18 +318,17 @@ class SweepScheduler:
 
                     self.cache.store(keys[index], decode_result(payload))
             self.db.store_cells(sweep, rows)
-            finished += len(results)
+            finished += sum(copies[keys[index]] for index, _p, _n in results)
             if on_cells is not None:
                 on_cells(sweep, finished + resumed, len(cells))
             if progress is not None:
-                workload = by_index[results[0][0]].workload if results else "?"
+                workload = cells[results[0][0]].workload if results else "?"
                 progress(
                     f"[{finished + resumed}/{len(cells)}] "
                     f"batch {batch_pos + 1}/{len(batches)} ({workload}) committed"
                 )
 
-        pool = shared_pool(self.jobs)
-        await dispatch(pool, batches, on_batch)
+        await run_shards(self.jobs, batches, on_batch)
         if progress is not None:
             progress(stats.summary())
         return stats

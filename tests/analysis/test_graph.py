@@ -142,17 +142,58 @@ class TestWorkerEntries:
         assert [e.target for e in entries] == [f"{pkg}.par.job"]
         assert entries[0].submitter == f"{pkg}.par.run"
 
+    def test_process_target_resolved(self, tmp_path):
+        model = build_model(
+            tmp_path,
+            {
+                "pool.py": """
+                from multiprocessing import Process, get_context
+
+                def loop(q, path):
+                    return q, path
+
+                def start(q, path):
+                    ctx = get_context("spawn")
+                    procs = [ctx.Process(target=loop, args=(q, path))]
+                    procs.append(Process(target=loop, args=(q,)))
+                    return procs
+                """,
+            },
+        )
+        pkg = tmp_path.name
+        entries = model.worker_entries()
+        assert [e.target for e in entries] == [f"{pkg}.pool.loop"] * 2
+        assert {e.submitter for e in entries} == {f"{pkg}.pool.start"}
+        # the args= tuple is what crosses the boundary with the target
+        assert sorted(len(e.args) for e in entries) == [1, 2]
+
+    def test_function_local_imports_resolve(self, tmp_path):
+        model = build_model(
+            tmp_path,
+            {
+                "a.py": """
+                def worker():
+                    from b import helper
+
+                    return helper()
+                """,
+                "b.py": """
+                def helper():
+                    return 1
+                """,
+            },
+        )
+        pkg = tmp_path.name
+        assert f"{pkg}.b.helper" in model.callees(f"{pkg}.a.worker")
+
     def test_live_tree_worker_entries(self):
         from repro.analysis.runner import DEFAULT_ROOT
 
         model = load_project(DEFAULT_ROOT).semantic()
         targets = {e.target for e in model.worker_entries()}
-        assert targets == {
-            "repro.sim.parallel._execute_batch",
-            "repro.sim.parallel._execute_job",
-        }
-        # the worker closure must reach the simulator core
+        assert targets == {"repro.sim.sched.pool._worker_main"}
+        # the worker closure reaches the simulator and the batch kernel
         reach = model.reachable(targets)
-        assert any(q.endswith("Simulator.run") for q in reach) or any(
-            "simulator" in q for q in reach
-        )
+        assert "repro.sim.sched.pool.run_batch" in reach
+        assert "repro.sim.native.adapter.run_native_batch" in reach
+        assert any(q.endswith("Simulator.run") for q in reach)

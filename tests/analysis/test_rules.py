@@ -875,7 +875,7 @@ class TestBatchDispatchLayoutRule:
     def _good_tree(self) -> dict[str, str]:
         # miniature dispatch stack: the pinned wire shape, puts only in
         # the reviewed pool entry points, submits only in the reviewed
-        # dispatch loop and legacy parallel_compare
+        # dispatch loop; parallel_compare hands its shards to run_shards
         return {
             "sim/sched/pool.py": """
             CELL_FIELDS = ("index", "prefetcher", "context_id")
@@ -897,9 +897,7 @@ class TestBatchDispatchLayoutRule:
             """,
             "sim/parallel.py": """
             def parallel_compare(workloads, prefetchers):
-                with executor() as pool:
-                    futures = [pool.submit(run, job) for job in jobs()]
-                return futures
+                run_shards_sync(jobs, shards(workloads, prefetchers), finish)
             """,
         }
 
@@ -1001,6 +999,20 @@ class TestBatchDispatchLayoutRule:
         findings = run_rules(tmp_path, [self._rule()])
         assert rule_ids(findings) == ["PERF004"]
         assert "per-cell futures" in findings[0].message
+
+    def test_executor_in_parallel_compare_is_flagged(self, tmp_path):
+        # parallel_compare hands its shards to run_shards; a submit of
+        # its own is not on the allowlist
+        files = self._good_tree()
+        files["sim/parallel.py"] = """
+        def parallel_compare(workloads, prefetchers):
+            with executor() as pool:
+                return [pool.submit(run, job) for job in jobs()]
+        """
+        write_tree(tmp_path, files)
+        findings = run_rules(tmp_path, [self._rule()])
+        assert rule_ids(findings) == ["PERF004"]
+        assert "parallel_compare" in findings[0].message
 
 
 class TestBatchKernelLayoutRule:

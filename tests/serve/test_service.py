@@ -8,6 +8,7 @@ with.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -80,6 +81,17 @@ class TestSweepService:
 
             # resubmitting is a no-op on the grid
             assert service.submit(plan).executed == 0
+
+    def test_jobs1_submit_runs_inline(self, tmp_path, store):
+        from repro.sim.sched.pool import shutdown_pools
+
+        shutdown_pools()
+        plan = plan_from_axes(
+            workloads=WORKLOADS, prefetchers=PREFETCHERS, limit=LIMIT
+        )
+        with SweepService(db=tmp_path / "inline.db", store=store, jobs=1) as service:
+            assert service.submit(plan).executed == 4
+        assert multiprocessing.active_children() == []
 
 
 class TestServeCLI:

@@ -15,10 +15,8 @@ Coverage here:
 * warmup and ``start_index`` riding the shared columns correctly;
 * per-cell fallback isolation — one unrepresentable cell degrades
   alone, with its reason, while its neighbours stay native;
-* the deterministic batch telemetry counters;
-* the pool's ``run_batch`` with the kernel driver on vs off (the PR 9
-  per-cell dispatch), which is exactly the parity the sweep benchmark
-  gates on;
+* the pool's ``run_batch`` — the one executor every sweep shard runs
+  through — against a per-cell interpreted ``Simulator`` loop;
 * ``--runslow``: a randomized differential fuzz over shard composition
   (sizes, eligible/fallback mixes, thread counts), and a subprocess leg
   that forces the serial (no-OpenMP) build and requires bit-identical
@@ -43,6 +41,7 @@ from repro.core.prefetcher import ContextPrefetcher
 from repro.prefetchers.stride import StrideConfig, StridePrefetcher
 from repro.sim import native as native_pkg
 from repro.sim.codec import encode_result
+from repro.sim.config import make_prefetcher
 from repro.sim.native import adapter
 from repro.sim.sched.pool import BatchShared, run_batch
 from repro.sim.simulator import Simulator
@@ -191,34 +190,29 @@ class TestFallbackIsolation:
         assert interp == oracle
 
 
-class TestBatchCounters:
-    def test_counters_accumulate(self):
-        adapter.reset_batch_counters()
-        trace = _trace("list")
-        cells = [
-            ContextPrefetcher(ContextPrefetcherConfig()),
-            StridePrefetcher(StrideConfig(degree=100)),  # falls back
-            StridePrefetcher(StrideConfig(degree=4)),
-        ]
-        adapter.run_native_batch(
-            cells, trace, workload_name="batch-test", limit=None, threads=2
+def _per_cell_payloads(shared: BatchShared, cells) -> list:
+    """The reference for ``run_batch``: one fresh interpreted
+    ``Simulator`` per cell, in cell order."""
+    out = []
+    for index, name, context_id in cells:
+        config = shared.context_table[context_id]
+        if name == "context" and config is not None:
+            prefetcher = ContextPrefetcher(config)
+        else:
+            prefetcher = make_prefetcher(name)
+        result = Simulator(prefetcher).run(
+            shared.trace, workload_name=shared.workload, limit=shared.limit
         )
-        counters = adapter.batch_counters()
-        assert counters["batches"] == 1
-        assert counters["cells"] == 3
-        assert counters["native_cells"] == 2
-        assert counters["fallback_cells"] == 1
-        assert counters["kernel_threads"] == 2
-        adapter.reset_batch_counters()
-        assert not any(adapter.batch_counters().values())
+        out.append((index, encode_result(result)))
+    return out
 
 
 class TestPoolBatchDriver:
-    """run_batch with the kernel driver on vs off — the benchmark gate."""
+    """The pool's ``run_batch`` against a per-cell ``Simulator`` loop."""
 
-    def _shared(self, trace, *, kernel_batch: bool, threads: int = 2):
+    def test_run_batch_matches_per_cell_simulator(self):
         base = ContextPrefetcherConfig()
-        return BatchShared(
+        shared = BatchShared(
             workload="pool-batch-test",
             limit=None,
             native=True,
@@ -227,13 +221,9 @@ class TestPoolBatchDriver:
                 dataclasses.replace(base, seed=11),
                 dataclasses.replace(base, max_degree=100),  # falls back
             ),
-            trace=tuple(trace),
-            kernel_batch=kernel_batch,
-            kernel_threads=threads,
+            trace=tuple(_trace("list")),
+            kernel_threads=2,
         )
-
-    def test_kernel_batch_on_off_parity(self):
-        trace = _trace("list")
         cells = tuple(
             (index, pf, ctx)
             for index, (pf, ctx) in enumerate(
@@ -246,17 +236,16 @@ class TestPoolBatchDriver:
                 ]
             )
         )
-        on, _deg = run_batch(self._shared(trace, kernel_batch=True), cells)
-        off, _deg = run_batch(self._shared(trace, kernel_batch=False), cells)
-        assert [(i, payload) for i, payload, _info in on] == [
-            (i, payload) for i, payload, _info in off
-        ]
+        got, _deg = run_batch(shared, cells)
+        assert [(i, payload) for i, payload, _info in got] == (
+            _per_cell_payloads(shared, cells)
+        )
         # the driver really ran: every representable cell reports native
-        on_info = {i: info for i, _p, info in on}
-        assert on_info[0] == (True, None)
-        assert on_info[3] == (True, None)
+        info = {i: native_info for i, _p, native_info in got}
+        assert info[0] == (True, None)
+        assert info[3] == (True, None)
         # the over-cap context cell degraded alone, with a reason
-        assert on_info[2][0] is False and on_info[2][1]
+        assert info[2][0] is False and info[2][1]
 
 
 def _batch_fuzz_trace(rng: random.Random, length: int) -> list[MemoryAccess]:
@@ -291,8 +280,8 @@ def test_batch_shard_fuzz(case: int) -> None:
     Each case draws a shard size, a context-config table (some entries
     deliberately over the kernel's request cap, forcing the per-cell
     fallback), a prefetcher mix and an OpenMP team size, then requires
-    the in-kernel batch driver's payloads to equal the per-cell dispatch
-    path's, cell for cell.
+    the in-kernel batch driver's payloads to equal a per-cell
+    interpreted ``Simulator`` loop's, cell for cell.
     """
     seed = int.from_bytes(
         hashlib.sha256(f"batch-fuzz/{case}".encode()).digest()[:8], "big"
@@ -315,18 +304,16 @@ def test_batch_shard_fuzz(case: int) -> None:
         for index in range(rng.randrange(3, 18))
     )
     threads = rng.choice((1, 2, 4))
-    shared = dict(
+    shared = BatchShared(
         workload=f"batch-fuzz-{case}",
         limit=None,
         native=True,
         context_table=table,
         trace=trace,
+        kernel_threads=threads,
     )
-    on, _ = run_batch(
-        BatchShared(**shared, kernel_batch=True, kernel_threads=threads), cells
-    )
-    off, _ = run_batch(BatchShared(**shared, kernel_batch=False), cells)
-    assert [(i, p) for i, p, _info in on] == [(i, p) for i, p, _info in off], (
+    got, _ = run_batch(shared, cells)
+    assert [(i, p) for i, p, _info in got] == _per_cell_payloads(shared, cells), (
         f"case {case}: batch driver diverged (threads={threads}, "
         f"{len(cells)} cells)"
     )

@@ -9,12 +9,16 @@ breakdown, hit-depth histogram, accuracy EMA — not just headline IPC.
 """
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
 from repro.sim.cache import SweepCache
 from repro.sim.metrics import SimulationResult
+from repro.sim.parallel import set_default_execution
 from repro.sim.runner import compare, storage_sweep
+from repro.sim.sched.db import ResultDB
+from repro.sim.sched.pool import shutdown_pools
 from repro.workloads.linked_list import ListTraversalProgram
 from repro.workloads.store import TraceStore
 
@@ -205,3 +209,33 @@ class TestTraceStoreParity:
             assert_identical(
                 serial[size]["list"], stored[size]["list"], f"cst={size}"
             )
+
+
+class TestOneDispatchPath:
+    """Every ``jobs`` level runs the same shards through ``run_batch``
+    and commits them through the same path."""
+
+    def _dump_after(self, tmp_path, jobs: int) -> str:
+        db = ResultDB(tmp_path / f"jobs{jobs}.sqlite")
+        previous = set_default_execution(db=db)
+        try:
+            compare(WORKLOADS, ("none", "stride"), limit=300, jobs=jobs, cache=False)
+        finally:
+            set_default_execution(db=previous.db)
+        return db.canonical_dump()
+
+    def test_jobs1_commits_the_same_db_rows_as_jobs2(self, tmp_path):
+        inline = self._dump_after(tmp_path, 1)
+        pooled = self._dump_after(tmp_path, 2)
+        assert inline == pooled
+        rows = [line for line in inline.splitlines() if '"cell"' in line]
+        assert len(rows) == len(WORKLOADS) * 2  # one row per cell
+
+    def test_jobs1_spawns_nothing(self, serial_sweep, tmp_path):
+        shutdown_pools()
+        store = TraceStore(tmp_path / "traces")
+        inline = compare(
+            WORKLOADS, PREFETCHERS, limit=LIMIT, jobs=1, cache=False, store=store
+        )
+        assert multiprocessing.active_children() == []
+        assert_sweeps_identical(serial_sweep, inline)

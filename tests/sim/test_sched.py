@@ -15,6 +15,7 @@ Two invariants carry the whole subsystem:
 """
 
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -26,7 +27,14 @@ from repro.sim.codec import encode_result
 from repro.sim.runner import compare
 from repro.sim.sched.db import ResultDB, ResultDBError
 from repro.sim.sched.plan import GridPlan, PlanCell, shard_by_workload
-from repro.sim.sched.pool import CELL_FIELDS, shared_pool
+from repro.sim.sched.pool import (
+    CELL_FIELDS,
+    BatchShared,
+    WorkerPool,
+    WorkerPoolError,
+    run_batch,
+    shared_pool,
+)
 from repro.sim.sched.scheduler import SweepScheduler
 from repro.workloads.store import TraceStore
 
@@ -224,6 +232,26 @@ class TestWarmPool:
         assert pool.alive()
 
 
+class TestWorkerFailures:
+    def test_worker_error_carries_the_traceback(self):
+        pool = shared_pool(2)
+        shared = BatchShared(workload="list", limit=LIMIT, native=False)
+        pool.submit(0, shared, ((0, "no-such-prefetcher", 0),))
+        with pytest.raises(WorkerPoolError, match="run_batch"):
+            pool.drain_one()
+        assert pool.alive()  # the worker answered and survived
+
+    def test_killed_worker_names_its_exit_code(self):
+        pool = WorkerPool(1)
+        try:
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            pool.submit(0, BatchShared(workload="list", limit=LIMIT, native=False), ())
+            with pytest.raises(WorkerPoolError, match="exit code -9"):
+                pool.drain_one()
+        finally:
+            pool.close()
+
+
 class TestSchedulerDeterminism:
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_bit_identical_to_serial(self, tmp_path, store, plan, serial, jobs):
@@ -277,6 +305,50 @@ class TestResume:
         # zero recompute: only the one missing cell executed
         assert (resumed.executed, resumed.resumed) == (1, 3)
         assert db.canonical_dump() == full_db.canonical_dump()
+
+    def test_duplicate_keys_simulate_once(self, tmp_path, store):
+        from repro.serve.service import plan_from_axes
+
+        # `none` ignores the CST axis, so each workload's `none` key
+        # appears once per size: 8 plan cells, 6 distinct keys
+        plan = plan_from_axes(
+            workloads=list(WORKLOADS),
+            prefetchers=["none", "context"],
+            cst_sizes=[128, 256],
+            limit=LIMIT,
+        )
+        db = ResultDB(tmp_path / "dedup.sqlite")
+        counts = []
+        stats = run_plan(
+            plan, db, store, jobs=1,
+            on_cells=lambda _sweep, done, total: counts.append((done, total)),
+        )
+        fps = {wl: store.ensure(wl)[0].fingerprint for wl in plan.workloads}
+        keys = plan.cell_keys(fps)
+        assert (stats.executed, stats.resumed) == (len(set(keys)), 0)
+        assert len(set(keys)) < plan.n_cells
+        assert counts[-1] == (plan.n_cells, plan.n_cells)
+
+        # the DB a run without deduplication leaves: every plan cell
+        # simulated and committed in grid order, copies ignored
+        reference = ResultDB(tmp_path / "reference.sqlite")
+        sweep = plan.sweep_id(keys)
+        reference.ensure_sweep(sweep, plan.spec(), plan.n_cells)
+        for cell in plan.cells():
+            shared = BatchShared(
+                workload=cell.workload,
+                limit=plan.limit,
+                native=False,
+                context_table=plan.context_configs,
+            )
+            [(index, payload, _info)], _ = run_batch(
+                shared, ((cell.index, cell.prefetcher, cell.context_id),)
+            )
+            reference.store_cells(
+                sweep,
+                [(keys[index], index, cell.workload, cell.prefetcher, payload)],
+            )
+        assert db.canonical_dump() == reference.canonical_dump()
 
     def test_progress_reports_resume(self, tmp_path, store, plan):
         db = ResultDB(tmp_path / "db.sqlite")

@@ -384,25 +384,27 @@ class TestNumpyDecode:
         )
 
     def test_native_sweep_cell_survives_corrupt_store_file(self, tmp_path):
-        # end-to-end degrade: a native job pointed at a truncated store
-        # file must rebuild the trace and still produce the interpreted
-        # result, never crash the sweep
-        from repro.sim.parallel import SweepJob, run_job
+        # end-to-end degrade: a native shard pointed at a truncated store
+        # file must rebuild the trace and still produce the rebuilt
+        # trace's result, never crash the sweep
+        from repro.sim.sched.pool import BatchShared, run_batch
 
         built = get_workload("array").build().trace()[:200]
         path = tmp_path / "t.rpt"
         write_trace(path, built, workload="array")
         path.write_bytes(path.read_bytes()[: -RECORD_SIZE // 2])
-        job = SweepJob(
-            index=0,
+        cells = ((0, "stride", 0),)
+        corrupt = BatchShared(
             workload="array",
-            prefetcher="stride",
             limit=200,
+            native=True,
             store_path=str(path),
             store_fingerprint=trace_fingerprint(built),
-            native=True,
         )
-        reference = SweepJob(
-            index=0, workload="array", prefetcher="stride", limit=200
-        )
-        assert run_job(job) == run_job(reference)
+        reference = BatchShared(workload="array", limit=200, native=False)
+        got, degrades = run_batch(corrupt, cells)
+        want, _ = run_batch(reference, cells)
+        assert degrades == 1
+        assert [payload for _i, payload, _n in got] == [
+            payload for _i, payload, _n in want
+        ]
