@@ -9,7 +9,12 @@ DESIGN.md calls out five mechanisms worth isolating:
 * history-queue sampling density (sparse vs dense collection)
 
 Each variant runs the same workloads; the report shows mean speedup over
-the no-prefetch baseline per variant.
+the no-prefetch baseline per variant.  The whole grid is a handful of
+:class:`~repro.sim.sched.plan.GridPlan` objects — the baselines, the variant
+table, one plan per hierarchy variant — submitted together to
+:func:`~repro.sim.parallel.run_plans` under the process-wide execution
+defaults, so it runs on the batch kernel and the warm pool like any
+sweep.
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments.report import render_table
 from repro.experiments.sweep import SCALES
 from repro.memory.hierarchy import HierarchyConfig
 from repro.sim.metrics import geomean
-from repro.sim.runner import run_workload
-from repro.sim.simulator import Simulator
+from repro.sim.parallel import run_plans
+from repro.sim.sched.plan import GridPlan
 from repro.workloads.suites import get_workload
 
 #: irregular-leaning subset where the learning machinery matters most
@@ -69,26 +73,31 @@ def run(
     scale: str = "small", workloads: tuple[str, ...] = DEFAULT_WORKLOADS
 ) -> AblationResult:
     limit = SCALES[scale]["limit"]
-    specs = [get_workload(name) for name in workloads]
-    traces = {spec.name: spec.build().trace() for spec in specs}
-    baselines = {
-        name: run_workload(get_workload(name), "none", limit=limit)
-        for name in traces
-    }
+    names = tuple(get_workload(name).name for name in workloads)
+    variants = variant_configs()
+    hierarchies = hierarchy_variants()
+    plans = [
+        GridPlan(names, ("none",), limit=limit),
+        GridPlan(names, ("context",), tuple(variants.values()), limit=limit),
+    ] + [
+        GridPlan(names, ("context",), limit=limit, hierarchy_config=config)
+        for config in hierarchies.values()
+    ]
+    # every plan enumerates workload-major with one prefetcher, so cell
+    # (workload i, config j) sits at index i * configs + j
+    baselines, variant_runs, *hierarchy_runs = run_plans(plans).results
 
     speedups: dict[str, dict[str, float]] = {}
-    for label, config in variant_configs().items():
-        speedups[label] = {}
-        for name, trace in traces.items():
-            sim = Simulator(ContextPrefetcher(config))
-            result = sim.run(trace, workload_name=name, limit=limit)
-            speedups[label][name] = result.speedup_over(baselines[name])
-    for label, hier_config in hierarchy_variants().items():
-        speedups[label] = {}
-        for name, trace in traces.items():
-            sim = Simulator(ContextPrefetcher(), hierarchy_config=hier_config)
-            result = sim.run(trace, workload_name=name, limit=limit)
-            speedups[label][name] = result.speedup_over(baselines[name])
+    for j, label in enumerate(variants):
+        speedups[label] = {
+            name: variant_runs[i * len(variants) + j].speedup_over(baselines[i])
+            for i, name in enumerate(names)
+        }
+    for label, results in zip(hierarchies, hierarchy_runs):
+        speedups[label] = {
+            name: results[i].speedup_over(baselines[i])
+            for i, name in enumerate(names)
+        }
     means = {
         label: geomean(list(per_wl.values())) for label, per_wl in speedups.items()
     }

@@ -5,6 +5,10 @@ converged timeliness distribution, while the convergence *trajectory*
 is only described in prose.  This experiment records it: the prefetch
 accuracy EMA, the exploration rate ε, and the throttled degree, sampled
 at fixed points along each workload's trace.
+
+It builds :class:`~repro.sim.simulator.Simulator` directly instead of
+submitting a plan: its chunks carry prefetcher state from one to the
+next, and sweep cells are independent one-shot runs.
 """
 
 from __future__ import annotations

@@ -5,6 +5,14 @@ graph structure) and the prefetcher's (ε-greedy exploration).  This
 experiment re-runs a workload subset across several seeds of each and
 reports the spread of the context prefetcher's speedup — evidence that
 the reproduction's conclusions do not hinge on a lucky seed.
+
+Both halves run on the sweep stack under the process-wide execution
+defaults.  The prefetcher-seed half is two plans — the baselines and a
+table of seeded configs — through :func:`~repro.sim.parallel.run_plans`.
+The workload-seed half re-seeds :class:`TraceProgram` instances, which
+no worker can rebuild by name, so each seed's programs go through
+:func:`~repro.sim.parallel.parallel_compare`, which ships their traces
+by value.
 """
 
 from __future__ import annotations
@@ -13,11 +21,10 @@ import statistics
 from dataclasses import dataclass, replace
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments.report import render_table
 from repro.experiments.sweep import SCALES
-from repro.prefetchers.nopf import NoPrefetcher
-from repro.sim.simulator import Simulator
+from repro.sim.parallel import default_execution, parallel_compare, run_plans
+from repro.sim.sched.plan import GridPlan
 from repro.workloads.suites import get_workload
 
 DEFAULT_WORKLOADS = ("list", "graph500-list", "array")
@@ -54,10 +61,16 @@ class RobustnessResult:
     prefetcher_seed_spread: dict[str, SpeedupSpread]
 
 
-def _speedup(trace, pf_config: ContextPrefetcherConfig, limit) -> float:
-    base = Simulator(NoPrefetcher()).run(trace, limit=limit)
-    ctx = Simulator(ContextPrefetcher(pf_config)).run(trace, limit=limit)
-    return ctx.speedup_over(base)
+def _seeded_programs(names: tuple[str, ...], seed: int) -> list:
+    """Fresh programs of ``names`` with their workload seed replaced."""
+    programs = []
+    for name in names:
+        program = get_workload(name).factory()
+        program.seed = seed
+        if hasattr(program, "_trace_cache"):
+            del program._trace_cache
+        programs.append(program)
+    return programs
 
 
 def run(
@@ -66,30 +79,53 @@ def run(
     seeds: tuple[int, ...] = DEFAULT_SEEDS,
 ) -> RobustnessResult:
     limit = SCALES[scale]["limit"]
+    names = tuple(get_workload(name).name for name in workloads)
     base_config = ContextPrefetcherConfig()
+    defaults = default_execution()
 
-    workload_spread: dict[str, SpeedupSpread] = {}
-    prefetcher_spread: dict[str, SpeedupSpread] = {}
-    for name in workloads:
-        spec = get_workload(name)
+    workload_samples: list[list[float]] = [[] for _ in names]
+    for seed in seeds:
+        programs = _seeded_programs(names, seed)
+        comparison = parallel_compare(
+            programs,
+            ("none", "context"),
+            limit=limit,
+            jobs=defaults.jobs,
+            cache=defaults.cache,
+            native=defaults.native,
+        )
+        for samples, program in zip(workload_samples, programs):
+            samples.append(
+                comparison.get(program.name, "context").speedup_over(
+                    comparison.get(program.name, "none")
+                )
+            )
 
-        samples = []
-        for seed in seeds:
-            program = spec.factory()
-            program.seed = seed
-            if hasattr(program, "_trace_cache"):
-                del program._trace_cache
-            samples.append(_speedup(program.trace(), base_config, limit))
-        workload_spread[name] = SpeedupSpread(samples)
-
-        trace = spec.build().trace()
-        samples = [
-            _speedup(trace, replace(base_config, seed=seed), limit)
-            for seed in seeds
+    baselines, runs = run_plans(
+        [
+            GridPlan(names, ("none",), limit=limit),
+            GridPlan(
+                names,
+                ("context",),
+                tuple(replace(base_config, seed=seed) for seed in seeds),
+                limit=limit,
+            ),
         ]
-        prefetcher_spread[name] = SpeedupSpread(samples)
+    ).results
+    prefetcher_spread = {
+        name: SpeedupSpread(
+            [
+                runs[i * len(seeds) + j].speedup_over(baselines[i])
+                for j in range(len(seeds))
+            ]
+        )
+        for i, name in enumerate(names)
+    }
     return RobustnessResult(
-        workload_seed_spread=workload_spread,
+        workload_seed_spread={
+            name: SpeedupSpread(samples)
+            for name, samples in zip(names, workload_samples)
+        },
         prefetcher_seed_spread=prefetcher_spread,
     )
 

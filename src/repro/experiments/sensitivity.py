@@ -10,7 +10,9 @@ paper fixes by construction, showing how robust the headline result is:
 * exploration ceiling ε_max
 
 Each variant reports the geometric-mean speedup over the no-prefetch
-baseline on an irregular-leaning workload subset.
+baseline on an irregular-leaning workload subset.  Like the ablations,
+the grid runs as two plans — the baselines and a table of the distinct
+configs — through :func:`~repro.sim.parallel.run_plans`.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import ContextPrefetcherConfig
-from repro.core.prefetcher import ContextPrefetcher
 from repro.experiments.report import render_table
 from repro.experiments.sweep import SCALES
 from repro.sim.metrics import geomean
-from repro.sim.runner import run_workload
-from repro.sim.simulator import Simulator
+from repro.sim.parallel import run_plans
+from repro.sim.sched.plan import GridPlan
 from repro.workloads.suites import get_workload
 
 DEFAULT_WORKLOADS = ("list", "graph500-list", "array")
@@ -89,23 +90,37 @@ def run(
     scale: str = "small", workloads: tuple[str, ...] = DEFAULT_WORKLOADS
 ) -> SensitivityResult:
     limit = SCALES[scale]["limit"]
-    specs = [get_workload(name) for name in workloads]
-    traces = {spec.name: spec.build().trace() for spec in specs}
-    baselines = {
-        name: run_workload(get_workload(name), "none", limit=limit)
-        for name in traces
-    }
+    names = tuple(get_workload(name).name for name in workloads)
+    grid_configs = parameter_grid()
+    # the paper default recurs under every knob: simulate each distinct
+    # config once
+    table: list[ContextPrefetcherConfig] = []
+    slot: dict[tuple[str, str], int] = {}
+    for knob, settings in grid_configs.items():
+        for label, config in settings.items():
+            if config not in table:
+                table.append(config)
+            slot[knob, label] = table.index(config)
+    baselines, runs = run_plans(
+        [
+            GridPlan(names, ("none",), limit=limit),
+            GridPlan(names, ("context",), tuple(table), limit=limit),
+        ]
+    ).results
 
     grid: dict[str, dict[str, float]] = {}
-    for knob, settings in parameter_grid().items():
-        grid[knob] = {}
-        for label, config in settings.items():
-            speedups = []
-            for name, trace in traces.items():
-                sim = Simulator(ContextPrefetcher(config))
-                result = sim.run(trace, workload_name=name, limit=limit)
-                speedups.append(result.speedup_over(baselines[name]))
-            grid[knob][label] = geomean(speedups)
+    for knob, settings in grid_configs.items():
+        grid[knob] = {
+            label: geomean(
+                [
+                    runs[i * len(table) + slot[knob, label]].speedup_over(
+                        baselines[i]
+                    )
+                    for i in range(len(names))
+                ]
+            )
+            for label in settings
+        }
     return SensitivityResult(grid=grid, workloads=workloads)
 
 

@@ -637,10 +637,42 @@ def _batch_handles(kernel, p_hier, p_core, kind: int, pf, ctx_cfg):
     return sim_h, ffi.gc(pf_ptr, lib.rp_pf_free)
 
 
+class BatchColumns:
+    """A shard's trace columns bound to kernel pointers once.
+
+    Every wave of :func:`run_native_batch` reuses these pointers, so the
+    ``ffi.from_buffer`` calls happen once per shard, not once per wave.
+    """
+
+    def __init__(self, ffi, cols):
+        self.n = cols.n
+        self.base = [
+            ffi.from_buffer("uint64_t[]", cols.addrs),
+            ffi.from_buffer("uint64_t[]", cols.pcs),
+            ffi.from_buffer("uint64_t[]", cols.lines),
+            ffi.from_buffer("uint32_t[]", cols.inst_gaps),
+            ffi.from_buffer("uint8_t[]", cols.flags),
+        ]
+        if cols.values is not None:
+            self.context = [
+                ffi.from_buffer("int64_t[]", cols.values),
+                ffi.from_buffer("int64_t[]", cols.reg_values),
+                ffi.from_buffer("uint64_t[]", cols.branch_bits),
+                ffi.from_buffer("uint16_t[]", cols.branch_counts),
+                ffi.from_buffer("uint32_t[]", cols.type_ids),
+                ffi.from_buffer("uint32_t[]", cols.link_offsets),
+                ffi.from_buffer("uint8_t[]", cols.ref_forms),
+            ]
+        else:
+            # every kernel read of these is gated on the context family
+            self.context = [ffi.NULL] * 7
+
+
 def phase_batch_kernel(
-    kernel, sim_hs, pf_hs, cols, start_index: int, warmup: int, threads: int
+    kernel, sim_hs, pf_hs, bound: BatchColumns, start_index: int, warmup: int,
+    threads: int,
 ):
-    """One ``rp_run_batch`` call over every cell; ``(outs, rcs)`` back.
+    """One ``rp_run_batch`` call over one wave of cells; ``(outs, rcs)`` back.
 
     ``outs`` holds one private :data:`OUT_SLOTS` block per cell (cell
     ``j`` at ``outs + j * OUT_SLOTS``); ``rcs[j]`` is that cell's kernel
@@ -652,7 +684,7 @@ def phase_batch_kernel(
     in-kernel span to one name.
     """
     ffi, lib = kernel.ffi, kernel.lib
-    n = cols.n
+    n = bound.n
     if warmup and warmup >= n:
         raise ValueError("warmup consumes the whole trace")
     ncells = len(sim_hs)
@@ -660,26 +692,8 @@ def phase_batch_kernel(
     pfs = ffi.new("RpPf *[]", list(pf_hs))
     outs = ffi.new("int64_t[]", ncells * OUT_SLOTS)
     rcs = ffi.new("int32_t[]", ncells)
-    p_addr = ffi.from_buffer("uint64_t[]", cols.addrs)
-    p_pc = ffi.from_buffer("uint64_t[]", cols.pcs)
-    p_line = ffi.from_buffer("uint64_t[]", cols.lines)
-    p_gap = ffi.from_buffer("uint32_t[]", cols.inst_gaps)
-    p_flag = ffi.from_buffer("uint8_t[]", cols.flags)
-    if cols.values is not None:
-        ctx_cols = [
-            ffi.from_buffer("int64_t[]", cols.values),
-            ffi.from_buffer("int64_t[]", cols.reg_values),
-            ffi.from_buffer("uint64_t[]", cols.branch_bits),
-            ffi.from_buffer("uint16_t[]", cols.branch_counts),
-            ffi.from_buffer("uint32_t[]", cols.type_ids),
-            ffi.from_buffer("uint32_t[]", cols.link_offsets),
-            ffi.from_buffer("uint8_t[]", cols.ref_forms),
-        ]
-    else:
-        ctx_cols = [ffi.NULL] * 7
     lib.rp_run_batch(
-        ncells, sims, pfs, n, start_index, warmup,
-        p_addr, p_pc, p_line, p_gap, p_flag, *ctx_cols,
+        ncells, sims, pfs, n, start_index, warmup, *bound.base, *bound.context,
         outs, rcs, max(0, int(threads)),
     )
     return outs, rcs
@@ -698,13 +712,21 @@ def run_native_batch(
     start_index: int = 0,
     threads: int = 0,
 ):
-    """Execute N independent cells over one trace in one kernel call.
+    """Execute N independent cells over one trace in the batch kernel.
 
     Every cell gets a *fresh* simulator/prefetcher state built from the
     shared configs plus its own prefetcher's config — the exact state a
     ``Simulator(pf, ...)`` construction would hand :func:`try_native_run`
     — so cell ``i`` here is bit-identical to the single-cell native run
     of ``prefetchers[i]``, regardless of thread count or schedule.
+
+    Cells run in waves of the kernel team size (``threads``, or the
+    OpenMP default when it is 0): each wave allocates its cells' state,
+    makes one ``rp_run_batch`` call, finalizes and releases that state
+    before the next wave starts.  Live kernel state is therefore bounded
+    by the team, not by the shard — a whole shard's state allocated up
+    front costs a fresh first-touch of ~1.3 MB per cell and keeps all of
+    it resident until the call returns.
 
     Returns ``(results, reasons, trace, limit)``: ``results[i]`` is the
     cell's :class:`SimulationResult` or ``None`` when it must run
@@ -767,36 +789,44 @@ def run_native_batch(
             (1 << bhr_bits) - 1,
         ],
     )
-    sim_hs: list = []
-    pf_hs: list = []
-    run_idx: list[int] = []
-    for i in eligible:
-        sim_h, pf_h = _batch_handles(
-            kernel, p_hier, p_core, kinds[i], prefetchers[i], ctx_cfgs[i]
-        )
-        if sim_h is None or pf_h is None:
-            reasons[i] = "native state allocation failed"
-            continue
-        sim_hs.append(sim_h)
-        pf_hs.append(pf_h)
-        run_idx.append(i)
-    native_cells = 0
-    if run_idx:
+    bound = BatchColumns(ffi, cols)
+
+    def run_wave(wave: list[int]) -> None:
+        # the wave's handles are locals of this frame: they free on
+        # return, before the next wave allocates
+        sim_hs: list = []
+        pf_hs: list = []
+        run_idx: list[int] = []
+        for i in wave:
+            sim_h, pf_h = _batch_handles(
+                kernel, p_hier, p_core, kinds[i], prefetchers[i], ctx_cfgs[i]
+            )
+            if sim_h is None or pf_h is None:
+                reasons[i] = "native state allocation failed"
+                continue
+            sim_hs.append(sim_h)
+            pf_hs.append(pf_h)
+            run_idx.append(i)
+        if not run_idx:
+            return
         outs, rcs = phase_batch_kernel(
-            kernel, sim_hs, pf_hs, cols, start_index, warmup, threads
+            kernel, sim_hs, pf_hs, bound, start_index, warmup, threads
         )
         for j, i in enumerate(run_idx):
             if rcs[j] != 0:
                 reasons[i] = "native kernel ran out of memory mid-run"
                 continue
-            is_ctx = kinds[i] == _PF_CONTEXT
             results[i] = phase_finalize(
                 outs + j * OUT_SLOTS,
                 workload_name=workload_name,
                 pf=prefetchers[i],
-                ctx=(kernel, pf_hs[j]) if is_ctx else None,
+                ctx=(kernel, pf_hs[j]) if kinds[i] == _PF_CONTEXT else None,
             )
-            native_cells += 1
+
+    team = max(1, threads if threads > 0 else lib.rp_batch_max_threads())
+    for start in range(0, len(eligible), team):
+        run_wave(eligible[start : start + team])
+    native_cells = sum(1 for r in results if r is not None)
     if native_cells != n_cells:
         log.debug(
             "batch kernel handled %d/%d cells; %d fell back",

@@ -2,9 +2,12 @@
 
 Every cell of a workload × prefetcher sweep is independent — the
 simulator is a pure function of (trace, prefetcher, configs, limit) —
-so the sweep is embarrassingly parallel.  This module resolves the
-grid, cuts the cells that neither the cache nor the result DB holds
-into workload-pure shards, and runs every shard through
+so the sweep is embarrassingly parallel.  :func:`run_plans` takes one
+or more :class:`~repro.sim.sched.plan.GridPlan` values over a shared
+workload axis (``parallel_compare``, the Figure 13 storage sweep and
+the ablation-style experiments all submit plans), resolves the grid,
+cuts the cells that neither the cache nor the result DB holds into
+workload-pure shards, and runs every shard through
 :func:`~repro.sim.sched.pool.run_batch` via
 :func:`~repro.sim.sched.scheduler.run_shards`: inline in this process
 at ``jobs == 1``, on the persistent warm worker pool otherwise.
@@ -42,17 +45,18 @@ per-job timing inject a clock via ``progress`` closures (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # runner imports this module lazily; avoid the cycle
     from repro.sim.runner import ComparisonResult
     from repro.sim.sched.db import ResultDB
+    from repro.sim.sched.plan import GridPlan
 
 from repro.core.config import ContextPrefetcherConfig
 from repro.cpu.core_model import CoreConfig
 from repro.memory.hierarchy import HierarchyConfig
-from repro.sim.cache import SweepCache, cell_key
+from repro.sim.cache import CellKeyer, SweepCache
 from repro.sim.codec import decode_result
 from repro.sim.metrics import SimulationResult
 from repro.workloads.serialize import trace_fingerprint
@@ -247,13 +251,16 @@ def _resolve_worker_trace(
 
 @dataclass
 class _Cell:
-    """Bookkeeping for one grid position during a sweep."""
+    """Bookkeeping for one plan cell during a run."""
 
     index: int
+    #: which of the run's plans the cell belongs to
+    plan: int
     #: grid position of the workload entry: shards never mix entries
     entry: int
     workload: str
     prefetcher: str
+    context_id: int
     key: str | None = None
     result: SimulationResult | None = None
     cached: bool = False
@@ -395,46 +402,57 @@ def _shipped_trace(
     return tuple(entry.trace if limit is None else entry.trace[:limit])
 
 
-def parallel_compare(
-    workloads: Iterable[WorkloadSpec | TraceProgram | str],
-    prefetchers: Iterable[str],
+@dataclass
+class PlanRun:
+    """What :func:`run_plans` delivered, plan by plan."""
+
+    #: per plan, every cell's result in :meth:`GridPlan.cells` order
+    results: list[list[SimulationResult]]
+    #: per plan and cell: how the kernel handled it, ``None`` for cells
+    #: the cache or the result DB served
+    native_info: list[list[NativeInfo | None]]
+    store_degrades: int = 0
+    cache_heals: int = 0
+
+
+def run_plans(
+    plans: Sequence["GridPlan"],
     *,
-    hierarchy_config: HierarchyConfig | None = None,
-    core_config: CoreConfig | None = None,
-    context_config: ContextPrefetcherConfig | None = None,
-    limit: int | None = None,
-    jobs: int = 1,
-    cache: SweepCache | None = None,
-    store: TraceStore | None = None,
-    native: bool = False,
-    db: "ResultDB | None" = None,
+    workloads: Sequence[WorkloadSpec | TraceProgram | str] | None = None,
+    execution: ExecutionDefaults | None = None,
     progress: ProgressFn | None = None,
-) -> "ComparisonResult":
-    """Run the sweep grid with ``jobs`` workers and an optional cache.
+) -> PlanRun:
+    """Run every cell of ``plans``: resolve, look up, shard, commit.
 
-    Returns the same :class:`~repro.sim.runner.ComparisonResult` the
-    serial path builds, with identical cell values and identical
-    workload/prefetcher ordering.  ``store`` supplies registry-workload
-    traces from compiled binary files (see module docstring); cache
-    keys are identical with the store on or off, because the store
-    header carries the same content fingerprint the cache hashes.
+    The plans share one workload axis; each may carry its own
+    prefetchers, context-config table, limit and hierarchy/core configs
+    (the ablations run one plan per hierarchy variant).  ``workloads``
+    supplies the objects behind that axis when they are not plain
+    registry names — custom specs or ad-hoc programs, which ship their
+    trace by value; otherwise the axis names resolve through the
+    registry and, with a store, to compiled store files.
 
-    Pending cells run as workload-pure shards through
-    :func:`~repro.sim.sched.scheduler.run_shards`: inline at
-    ``jobs == 1``, on the process-wide warm pool otherwise, so repeated
-    sweeps share spawned interpreters, decoded traces and warm kernel
-    handles.  ``db`` streams executed cells into a queryable
-    :class:`~repro.sim.sched.db.ResultDB` (one commit per shard) and
-    reuses any cell the DB already holds; ``None`` defers to the
-    process-wide execution defaults.
+    ``execution`` defaults to :func:`default_execution`.  Cells the
+    cache or the result DB already hold are served from there (a DB hit
+    backfills the cache); every other cell runs in workload-pure shards
+    through :func:`~repro.sim.sched.scheduler.run_shards` — inline at
+    ``jobs == 1``, on the warm pool otherwise, each shard on the batch
+    kernel when ``native`` — and commits to the cache and the DB in
+    submission order.  The DB is optional: with none configured the
+    results only come back to the caller.
     """
-    from repro.sim.runner import ComparisonResult
     from repro.sim.sched.plan import max_batch_cells, shard_by_workload
     from repro.sim.sched.pool import BatchShared
     from repro.sim.sched.scheduler import run_shards_sync
 
-    defaults = default_execution()
-    effective_db = defaults.db if db is None else db
+    ex = default_execution() if execution is None else execution
+    cache, store, db = ex.cache, ex.store, ex.db
+    axis = plans[0].workloads
+    if any(plan.workloads != axis for plan in plans):
+        raise ValueError("run_plans: every plan must share one workload axis")
+    sources = list(axis if workloads is None else workloads)
+    if len(sources) != len(axis):
+        raise ValueError("run_plans: workloads must match the plans' axis")
 
     # per-call resilience accounting: discard any counts left over from
     # an earlier call, snapshot the cache/store counters to diff later
@@ -443,52 +461,46 @@ def parallel_compare(
     cache_errors_before = cache.counters.errors if cache is not None else 0
     store_heals_before = store.heals if store is not None else 0
 
-    prefetcher_names = list(prefetchers)
-    grid = _resolve_grid(workloads, store)
-    want_key = cache is not None or effective_db is not None
+    grid = _resolve_grid(sources, store)
+    want_key = cache is not None or db is not None
+    fingerprints = [_entry_fingerprint(entry) for entry in grid] if want_key else []
 
     cells: list[_Cell] = []
-    shared_by_entry: list[BatchShared] = []
-    for pos, entry in enumerate(grid):
-        name = entry.name
-        trace_fp = _entry_fingerprint(entry) if want_key else ""
-        shared_by_entry.append(
-            BatchShared(
-                workload=name,
-                limit=limit,
-                native=native,
-                hierarchy_config=hierarchy_config,
-                core_config=core_config,
-                context_table=(context_config,),
-                store_path=entry.stored.path if entry.stored else None,
-                store_fingerprint=entry.stored.fingerprint if entry.stored else "",
-                trace=_shipped_trace(entry, limit, jobs),
-                kernel_threads=defaults.kernel_threads,
+    offsets: list[int] = []
+    for plan_no, plan in enumerate(plans):
+        offsets.append(len(cells))
+        if want_key:
+            keyer = CellKeyer(
+                limit=plan.limit,
+                hierarchy_config=plan.hierarchy_config,
+                core_config=plan.core_config,
             )
-        )
-        for pf_name in prefetcher_names:
-            cell = _Cell(index=len(cells), entry=pos, workload=name, prefetcher=pf_name)
+            fragments = [keyer.context_fragment(cfg) for cfg in plan.context_configs]
+        per_entry = len(plan.context_configs) * len(plan.prefetchers)
+        for plan_cell in plan.cells():
+            pos = plan_cell.index // per_entry
+            cell = _Cell(
+                index=len(cells),
+                plan=plan_no,
+                entry=pos,
+                workload=grid[pos].name,
+                prefetcher=plan_cell.prefetcher,
+                context_id=plan_cell.context_id,
+            )
             if want_key:
-                cell.key = cell_key(
-                    workload=name,
-                    trace_fp=trace_fp,
-                    prefetcher=pf_name,
-                    limit=limit,
-                    hierarchy_config=hierarchy_config,
-                    core_config=core_config,
-                    context_config=context_config,
+                cell.key = keyer.key(
+                    workload=cell.workload,
+                    trace_fp=fingerprints[pos],
+                    prefetcher=cell.prefetcher,
+                    context_fragment=fragments[cell.context_id],
                 )
             if cache is not None and cell.key is not None:
                 cell.result = cache.load(cell.key)
                 cell.cached = cell.result is not None
-            if (
-                cell.result is None
-                and effective_db is not None
-                and cell.key is not None
-            ):
-                cell.result = effective_db.load(cell.key)
+            if cell.result is None and db is not None and cell.key is not None:
+                cell.result = db.load(cell.key)
                 cell.from_db = cell.result is not None
-                if cell.from_db and cache is not None and cell.key is not None:
+                if cell.from_db and cache is not None:
                     # backfill the JSON cache so later runs hit locally
                     cache.store(cell.key, cell.result)
             cells.append(cell)
@@ -522,37 +534,58 @@ def parallel_compare(
                 cache.store(cell.key, cell.result)
             if cell.key is not None:
                 rows.append((cell.key, index, cell.workload, cell.prefetcher, payload))
-        if effective_db is not None:
+        if db is not None:
             # ad-hoc rows carry an empty sweep id: `repro serve status`
             # reports them as their own bucket
-            effective_db.store_cells("", rows)
+            db.store_cells("", rows)
         for index, _payload, _native_info in results:
             report(cells[index])
 
+    # one batch header per (plan, workload entry), built on first use
+    headers: dict[tuple[int, int], BatchShared] = {}
+
+    def header(cell: _Cell) -> BatchShared:
+        shared = headers.get((cell.plan, cell.entry))
+        if shared is None:
+            plan, entry = plans[cell.plan], grid[cell.entry]
+            shared = headers[(cell.plan, cell.entry)] = BatchShared(
+                workload=entry.name,
+                limit=plan.limit,
+                native=ex.native,
+                hierarchy_config=plan.hierarchy_config,
+                core_config=plan.core_config,
+                context_table=plan.context_configs,
+                store_path=entry.stored.path if entry.stored else None,
+                store_fingerprint=entry.stored.fingerprint if entry.stored else "",
+                trace=_shipped_trace(entry, plan.limit, ex.jobs),
+                kernel_threads=ex.kernel_threads,
+            )
+        return shared
+
     pending = [cell for cell in cells if cell.result is None]
     shards = shard_by_workload(
-        pending, lambda cell: cell.entry, jobs, max_batch=max_batch_cells(native)
+        pending,
+        lambda cell: (cell.plan, cell.entry),
+        ex.jobs,
+        max_batch=max_batch_cells(ex.native),
     )
     run_shards_sync(
-        jobs,
+        ex.jobs,
         [
             (
-                shared_by_entry[shard[0].entry],
-                tuple((cell.index, cell.prefetcher, 0) for cell in shard),
+                header(shard[0]),
+                tuple((cell.index, cell.prefetcher, cell.context_id) for cell in shard),
             )
             for shard in shards
         ],
         finish,
     )
 
-    comparison = ComparisonResult()
-    for cell in cells:
-        assert cell.result is not None
-        comparison.results.setdefault(cell.workload, {})[cell.prefetcher] = cell.result
-        if native and cell.native_info is not None:
-            comparison.native_cells[f"{cell.workload}/{cell.prefetcher}"] = (
-                cell.native_info
-            )
+    run = PlanRun(results=[], native_info=[])
+    for plan_no, plan in enumerate(plans):
+        own = cells[offsets[plan_no] : offsets[plan_no] + plan.n_cells]
+        run.results.append([cell.result for cell in own])  # type: ignore[misc]
+        run.native_info.append([cell.native_info for cell in own])
     # resilience roll-up: run_batch returned each shard's degrade count
     # by value; the parent's own grid-resolve events drain here, and the
     # cache/store instance counters diff against the snapshots taken on
@@ -560,9 +593,89 @@ def parallel_compare(
     store_degrades += _drain_store_degrades()
     if store is not None:
         store_degrades += store.heals - store_heals_before
-    comparison.store_degrades = store_degrades
+    run.store_degrades = store_degrades
     if cache is not None:
-        comparison.cache_heals = cache.counters.errors - cache_errors_before
+        run.cache_heals = cache.counters.errors - cache_errors_before
+    return run
+
+
+def _workload_name(workload: WorkloadSpec | TraceProgram | str) -> str:
+    return get_workload(workload).name if isinstance(workload, str) else workload.name
+
+
+def parallel_compare(
+    workloads: Iterable[WorkloadSpec | TraceProgram | str],
+    prefetchers: Iterable[str],
+    *,
+    hierarchy_config: HierarchyConfig | None = None,
+    core_config: CoreConfig | None = None,
+    context_config: ContextPrefetcherConfig | None = None,
+    limit: int | None = None,
+    jobs: int = 1,
+    cache: SweepCache | None = None,
+    store: TraceStore | None = None,
+    native: bool = False,
+    db: "ResultDB | None" = None,
+    progress: ProgressFn | None = None,
+) -> "ComparisonResult":
+    """Run the sweep grid with ``jobs`` workers and an optional cache.
+
+    Returns the same :class:`~repro.sim.runner.ComparisonResult` the
+    serial path builds, with identical cell values and identical
+    workload/prefetcher ordering.  ``store`` supplies registry-workload
+    traces from compiled binary files (see module docstring); cache
+    keys are identical with the store on or off, because the store
+    header carries the same content fingerprint the cache hashes.
+
+    The grid is one :class:`~repro.sim.sched.plan.GridPlan` run through
+    :func:`run_plans`: inline at ``jobs == 1``, on the process-wide warm
+    pool otherwise, so repeated sweeps share spawned interpreters,
+    decoded traces and warm kernel handles.  ``db`` streams executed
+    cells into a queryable :class:`~repro.sim.sched.db.ResultDB` (one
+    commit per shard) and reuses any cell the DB already holds;
+    ``None`` defers to the process-wide execution defaults.
+    """
+    from repro.sim.runner import ComparisonResult
+    from repro.sim.sched.plan import GridPlan
+
+    comparison = ComparisonResult()
+    sources = list(workloads)
+    prefetcher_names = tuple(prefetchers)
+    if not sources or not prefetcher_names:
+        return comparison
+    defaults = default_execution()
+    plan = GridPlan(
+        workloads=tuple(_workload_name(workload) for workload in sources),
+        prefetchers=prefetcher_names,
+        context_configs=(context_config,),
+        limit=limit,
+        hierarchy_config=hierarchy_config,
+        core_config=core_config,
+    )
+    run = run_plans(
+        [plan],
+        workloads=sources,
+        execution=replace(
+            defaults,
+            jobs=jobs,
+            cache=cache,
+            store=store,
+            native=native,
+            db=defaults.db if db is None else db,
+        ),
+        progress=progress,
+    )
+    for cell, result, native_info in zip(
+        plan.cells(), run.results[0], run.native_info[0]
+    ):
+        comparison.results.setdefault(cell.workload, {})[cell.prefetcher] = result
+        if native and native_info is not None:
+            comparison.native_cells[f"{cell.workload}/{cell.prefetcher}"] = (
+                native_info
+            )
+    comparison.store_degrades = run.store_degrades
+    if cache is not None:
+        comparison.cache_heals = run.cache_heals
     if progress is not None and cache is not None:
         progress(cache.counters.summary())
     if progress is not None:
@@ -591,35 +704,43 @@ def parallel_storage_sweep(
 
     Each size is one ``context`` configuration (CST rescaled, reducer at
     8×), so the cache keys config sweeps exactly like prefetcher sweeps.
-    With a store, registry traces are compiled once and then mapped per
-    size instead of being rebuilt per (size × workload).
+    All sizes go out as one context-config table in one
+    :func:`run_plans` call, so each workload is one shard (split only
+    to occupy every worker) whose trace resolves once.
     """
+    from repro.sim.sched.plan import GridPlan
+
     base = base_config or ContextPrefetcherConfig()
-    workload_list = list(workloads)  # reused across sizes; don't exhaust
+    sources = list(workloads)
     sizes = list(cst_sizes)
-    out: dict[int, dict[str, SimulationResult]] = {}
-    for size in sizes:
-        comparison = parallel_compare(
-            workload_list,
-            ("context",),
-            context_config=base.scaled(size),
-            limit=limit,
-            jobs=jobs,
-            cache=cache,
-            store=store,
-            native=native,
-            progress=progress,
-        )
-        out[size] = {
-            wl: comparison.get(wl, "context") for wl in comparison.workloads()
-        }
+    out: dict[int, dict[str, SimulationResult]] = {size: {} for size in sizes}
+    if not sources or not sizes:
+        return out
+    plan = GridPlan(
+        workloads=tuple(_workload_name(workload) for workload in sources),
+        prefetchers=("context",),
+        context_configs=tuple(base.scaled(size) for size in sizes),
+        limit=limit,
+    )
+    run = run_plans(
+        [plan],
+        workloads=sources,
+        execution=replace(
+            default_execution(), jobs=jobs, cache=cache, store=store, native=native
+        ),
+        progress=progress,
+    )
+    for cell, result in zip(plan.cells(), run.results[0]):
+        out[sizes[cell.context_id]][cell.workload] = result
     return out
 
 
 __all__ = [
     "ExecutionDefaults",
+    "PlanRun",
     "default_execution",
     "parallel_compare",
     "parallel_storage_sweep",
+    "run_plans",
     "set_default_execution",
 ]

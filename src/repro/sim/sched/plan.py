@@ -199,19 +199,24 @@ def shard_by_workload(
 
     All cells of a batch share one workload (the worker materialises the trace once per batch and
     its memo keeps it resident across batches), each workload splits
-    into enough contiguous chunks to occupy every worker, and no batch
-    exceeds ``max_batch`` cells so results stream back — and commit to
-    the result DB — while the grid is still executing.
+    into contiguous chunks by its share of the cells — rounded up, so
+    equal groups get ``ceil(jobs / groups)`` chunks each, and one large
+    group beside small ones (an ablation's variant table beside its
+    baselines) still spreads over every worker — and no batch exceeds
+    ``max_batch`` cells so results stream back — and commit to the
+    result DB — while the grid is still executing.
     """
     groups: dict[Hashable, list[_T]] = {}
     for item in items:
         groups.setdefault(workload_of(item), []).append(item)
     if not groups:
         return []
-    chunks_per = max(1, -(-max(1, jobs) // len(groups)))  # ceil division
+    jobs = max(1, jobs)
+    total = len(items)
     batches: list[tuple[_T, ...]] = []
     for cells in groups.values():
-        k = max(min(len(cells), chunks_per), -(-len(cells) // max_batch))
+        share = -(-jobs * len(cells) // total)  # ceil division
+        k = max(min(len(cells), share), -(-len(cells) // max_batch))
         size = -(-len(cells) // k)
         for start in range(0, len(cells), size):
             batches.append(tuple(cells[start : start + size]))

@@ -15,6 +15,10 @@ Coverage here:
 * warmup and ``start_index`` riding the shared columns correctly;
 * per-cell fallback isolation — one unrepresentable cell degrades
   alone, with its reason, while its neighbours stay native;
+* waves: shards of 1, team, team+1 and 3·team+2 cells run in waves of
+  the kernel team size, bit-identical to single-cell runs, with never
+  more than one team's kernel state live and a degrade inside a wave
+  isolated to its cell;
 * the pool's ``run_batch`` — the one executor every sweep shard runs
   through — against a per-cell interpreted ``Simulator`` loop;
 * ``--runslow``: a randomized differential fuzz over shard composition
@@ -32,6 +36,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -188,6 +193,121 @@ class TestFallbackIsolation:
             StridePrefetcher(StrideConfig(degree=100))
         ).run(trace, workload_name="batch-test")
         assert interp == oracle
+
+
+def _wave_prefetchers(n: int) -> list:
+    """``n`` cells whose configs depend only on their position."""
+    base = ContextPrefetcherConfig()
+    return [
+        StridePrefetcher(StrideConfig(degree=1 + i % 4))
+        if i % 3 == 2
+        else ContextPrefetcher(dataclasses.replace(base, seed=100 + i))
+        for i in range(n)
+    ]
+
+
+_WAVE_SINGLES: list = []
+
+
+def _wave_singles(n: int) -> list:
+    """Single-cell native payloads of the first ``n`` wave cells."""
+    trace = _trace("list")
+    for pf in _wave_prefetchers(n)[len(_WAVE_SINGLES) :]:
+        sim = Simulator(pf, native=True)
+        result = sim.run(trace, workload_name="batch-test")
+        assert sim.last_run_native, sim.last_native_fallback
+        _WAVE_SINGLES.append(encode_result(result))
+    return _WAVE_SINGLES[:n]
+
+
+@pytest.fixture
+def live_handles(monkeypatch):
+    """Counts the batch cells whose kernel state is alive right now."""
+    counts = {"live": 0, "peak": 0}
+    real = adapter._batch_handles
+
+    def release() -> None:
+        counts["live"] -= 1
+
+    def counted(*args):
+        sim_h, pf_h = real(*args)
+        if sim_h is not None and pf_h is not None:
+            counts["live"] += 1
+            counts["peak"] = max(counts["peak"], counts["live"])
+            # the cell's state is live until its last handle is freed
+            pair_gone = [2]
+
+            def one_gone() -> None:
+                pair_gone[0] -= 1
+                if not pair_gone[0]:
+                    release()
+
+            weakref.finalize(sim_h, one_gone)
+            weakref.finalize(pf_h, one_gone)
+        return sim_h, pf_h
+
+    monkeypatch.setattr(adapter, "_batch_handles", counted)
+    return counts
+
+
+class TestWaves:
+    """Shards run in waves of the team size; results cannot tell."""
+
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    def test_wave_sizes_match_single_cell_runs(self, threads):
+        trace = _trace("list")
+        for ncells in (1, threads, threads + 1, 3 * threads + 2):
+            encoded, reasons = _batch_encoded(
+                _wave_prefetchers(ncells), trace, threads=threads
+            )
+            assert all(r is None for r in reasons), reasons
+            assert encoded == _wave_singles(ncells), (
+                f"{ncells} cells at threads={threads} diverged"
+            )
+
+    @pytest.mark.parametrize("threads", (0, 1, 2, 4))
+    def test_live_state_never_exceeds_the_team(self, threads, live_handles):
+        kernel = native_pkg.build.kernel_or_none()
+        team = threads or kernel.lib.rp_batch_max_threads()
+        ncells = 3 * team + 2
+        encoded, reasons = _batch_encoded(
+            _wave_prefetchers(ncells), _trace("list"), threads=threads
+        )
+        assert all(r is None for r in reasons), reasons
+        assert live_handles["peak"] == team
+        assert live_handles["live"] == 0, "handles outlived the call"
+
+    def test_unrepresentable_cell_mid_wave_degrades_alone(self):
+        # degree > the kernel's 64-request cap: the cell sits inside the
+        # second wave and must not shift or disturb its wave-mates
+        cells = _wave_prefetchers(7)
+        cells[3] = StridePrefetcher(StrideConfig(degree=100))
+        encoded, reasons = _batch_encoded(cells, _trace("list"), threads=2)
+        assert encoded[3] is None and reasons[3]
+        singles = _wave_singles(7)
+        for pos in (0, 1, 2, 4, 5, 6):
+            assert reasons[pos] is None
+            assert encoded[pos] == singles[pos], f"cell {pos} diverged"
+
+    def test_allocation_failure_mid_wave_degrades_alone(self, monkeypatch):
+        real = adapter._batch_handles
+        calls = [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == 4:  # the second cell of the second wave
+                return None, None
+            return real(*args)
+
+        monkeypatch.setattr(adapter, "_batch_handles", failing)
+        encoded, reasons = _batch_encoded(
+            _wave_prefetchers(7), _trace("list"), threads=2
+        )
+        assert encoded[3] is None
+        assert reasons[3] == "native state allocation failed"
+        singles = _wave_singles(7)
+        for pos in (0, 1, 2, 4, 5, 6):
+            assert encoded[pos] == singles[pos], f"cell {pos} diverged"
 
 
 def _per_cell_payloads(shared: BatchShared, cells) -> list:

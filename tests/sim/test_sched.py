@@ -103,6 +103,24 @@ class TestShardByWorkload:
         flat = [c for batch in batches for c in batch]
         assert flat == cells  # order preserved across the shard
 
+    def test_equal_groups_split_to_occupy_the_workers(self):
+        cells = [
+            PlanCell(i, wl, "none", 0)
+            for i, wl in enumerate(["a"] * 6 + ["b"] * 6 + ["c"] * 6)
+        ]
+        batches = shard_by_workload(cells, lambda c: c.workload, jobs=4)
+        # ceil(4 / 3) = 2 chunks per workload
+        assert [len(b) for b in batches] == [3, 3, 3, 3, 3, 3]
+
+    def test_large_group_beside_small_ones_spreads_over_workers(self):
+        # an ablation grid: one baseline, a 10-config table, one variant
+        cells = [
+            PlanCell(i, wl, "none", 0)
+            for i, wl in enumerate(["base"] + ["table"] * 10 + ["hier"])
+        ]
+        batches = shard_by_workload(cells, lambda c: c.workload, jobs=2)
+        assert [len(b) for b in batches] == [1, 5, 5, 1]
+
     def test_max_batch_bounds_chunks(self):
         cells = [PlanCell(i, "a", "none", 0) for i in range(2000)]
         batches = shard_by_workload(
